@@ -143,11 +143,6 @@ func main() {
 	}
 	micro("sim/after-fire", benchscen.AfterFire)
 	micro("sim/timer-churn", benchscen.TimerChurn)
-	for _, shards := range []int{1, 4, 16} {
-		shards := shards
-		micro(fmt.Sprintf("sim/parallel-components-%d", shards),
-			func(b *testing.B) { benchscen.ParallelComponents(b, shards) })
-	}
 
 	if !*skipExp {
 		experiment := func(name string, run func()) {

@@ -63,41 +63,6 @@ func AfterFire(b *testing.B) {
 	}
 }
 
-// ParallelComponents measures a ShardSet drain over `shards` independent
-// engines, each working through a self-rescheduling event chain, with three
-// coupling barriers along the way — the sharded kernel's per-event overhead
-// plus its conservative synchronization cost. shards=1 is the degenerate
-// single-component case and isolates the ShardSet bookkeeping itself.
-func ParallelComponents(b *testing.B, shards int) {
-	const (
-		events  = 2000
-		horizon = sim.Time(1000)
-	)
-	couplings := []sim.Coupling{{At: 250}, {At: 500}, {At: 750}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engines := make([]*sim.Engine, shards)
-		for s := range engines {
-			e := sim.New()
-			remaining := events
-			var tick func()
-			tick = func() {
-				if remaining--; remaining > 0 {
-					e.After(0.4, tick)
-				}
-			}
-			e.After(0.4, tick)
-			engines[s] = e
-		}
-		set := sim.NewShardSet(engines, shards)
-		if err := set.Drain(couplings, horizon); err != nil {
-			b.Fatal(err)
-		}
-		set.Shutdown()
-	}
-}
-
 // TimerChurn mixes scheduling, eager cancellation, and firing against a
 // standing population of pending timers — the pattern the flow layer's
 // completion rescheduling produces.

@@ -69,7 +69,7 @@ func RunCampaign(s Scale) []CampaignRow {
 		}
 	}
 	rows := make([]CampaignRow, len(cells))
-	forEach(len(cells), func(i int) {
+	scenario.ForEach(len(cells), ParallelWorkers(), func(i int) {
 		rows[i] = campaignRow(cells[i].a, RunCampaignOne(s, cells[i].a, cells[i].pol))
 	})
 	return rows
@@ -80,7 +80,7 @@ func RunCampaignApproach(s Scale, a cluster.Approach) []CampaignRow {
 	n := CampaignVMs(s)
 	pols := CampaignPolicies(s, n)
 	rows := make([]CampaignRow, len(pols))
-	forEach(len(pols), func(i int) {
+	scenario.ForEach(len(pols), ParallelWorkers(), func(i int) {
 		rows[i] = campaignRow(a, RunCampaignOne(s, a, pols[i]))
 	})
 	return rows

@@ -40,7 +40,7 @@ func RunFig3(s Scale) []Fig3Row {
 		}
 	}
 	rows := make([]Fig3Row, len(cells))
-	forEach(len(cells), func(i int) {
+	scenario.ForEach(len(cells), ParallelWorkers(), func(i int) {
 		rows[i] = runFig3One(s, cells[i].a, cells[i].bench)
 	})
 	return rows

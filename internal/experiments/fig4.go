@@ -49,7 +49,7 @@ func RunFig4(s Scale) []Fig4Row {
 	// against the best baseline.
 	approaches := cluster.Approaches()
 	bases := make([]fig4Result, len(approaches))
-	forEach(len(approaches), func(i int) {
+	scenario.ForEach(len(approaches), ParallelWorkers(), func(i int) {
 		bases[i] = runFig4One(s, approaches[i], 0)
 	})
 	var bestBase float64
@@ -70,7 +70,7 @@ func RunFig4(s Scale) []Fig4Row {
 		}
 	}
 	rows := make([]Fig4Row, len(cells))
-	forEach(len(cells), func(i int) {
+	scenario.ForEach(len(cells), ParallelWorkers(), func(i int) {
 		r := runFig4One(s, cells[i].a, cells[i].k)
 		r.DegradationPct = metrics.Pct(1 - metrics.Ratio(r.counter, bestBase))
 		if r.DegradationPct < 0 {

@@ -36,7 +36,7 @@ func RunFig5(s Scale) []Fig5Row {
 	// over the SetParallel budget with rows landing by cell index.
 	approaches := cluster.Approaches()
 	bases := make([]fig5Result, len(approaches))
-	forEach(len(approaches), func(i int) {
+	scenario.ForEach(len(approaches), ParallelWorkers(), func(i int) {
 		bases[i] = runFig5One(s, approaches[i], 0)
 	})
 	baseBy := make(map[cluster.Approach]float64, len(approaches))
@@ -54,7 +54,7 @@ func RunFig5(s Scale) []Fig5Row {
 		}
 	}
 	rows := make([]Fig5Row, len(cells))
-	forEach(len(cells), func(i int) {
+	scenario.ForEach(len(cells), ParallelWorkers(), func(i int) {
 		r := runFig5One(s, cells[i].a, cells[i].m)
 		r.RuntimeIncrease = r.runtime - baseBy[cells[i].a]
 		if r.RuntimeIncrease < 0 {

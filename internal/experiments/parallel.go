@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -11,10 +10,10 @@ import (
 // with its own engine, cluster, and flow network, sharing nothing mutable
 // with its neighbors. Running cells concurrently therefore changes nothing
 // about any cell's result — each run is bit-for-bit the run the serial
-// driver would have produced — and the drivers assemble rows by cell index,
-// so report output is byte-identical too. This run-level parallelism
-// composes with the scenario-level component sharding (scenario.WithParallel)
-// one layer down.
+// driver would have produced — and the drivers assemble rows by cell index
+// (scenario.ForEach over the budget below), so report output is
+// byte-identical too. This run-level parallelism composes with the
+// scenario-level component sharding (scenario.WithParallel) one layer down.
 
 // parallelWorkers is the worker budget for cell fan-out; 0 (the default)
 // runs every driver serially.
@@ -32,45 +31,3 @@ func SetParallel(workers int) {
 
 // ParallelWorkers returns the current cell-level worker budget.
 func ParallelWorkers() int { return int(parallelWorkers.Load()) }
-
-// forEach runs fn(0..n-1), fanning out over the configured worker budget.
-// Cells are claimed from an atomic counter, so completion order is
-// arbitrary — callers must write results into index-addressed slots, never
-// append. A panicking cell stops its worker; the first panic (by worker
-// index) is re-raised in the caller after the remaining workers drain, so
-// driver error reporting behaves as in the serial path.
-func forEach(n int, fn func(i int)) {
-	workers := ParallelWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	panics := make([]any, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() { panics[w] = recover() }()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-}

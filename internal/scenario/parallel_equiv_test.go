@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
-	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/sched"
 )
 
@@ -99,8 +98,8 @@ func compareResults(t *testing.T, serial, parallel *Result) {
 // parallelRandomScenario builds one preseeded, component-decomposable
 // scenario from the seed: several disjoint node pairs, each with VMs, a
 // timed migration plan, intra-pair cross traffic, and link/crash faults;
-// with probability ~1/2 a global fabric-degrade fault exercises the coupled
-// (barrier) path of the sharded runner. The same seed always builds the same
+// with probability ~1/2 a global fabric-degrade fault, which the sharded
+// runner gives to shard 0 alone. The same seed always builds the same
 // scenario; parallel selects the kernel.
 func parallelRandomScenario(seed int64, parallel bool) *Scenario {
 	rng := rand.New(rand.NewSource(seed))
@@ -348,13 +347,28 @@ func TestParallelPlannerFallbacks(t *testing.T) {
 			MigrateAt("a", 1, 1).MigrateAt("b", 1, 2) // shared destination couples the pairs
 		expectPlan(t, s, false)
 	})
+	t.Run("fabric-degrade", func(t *testing.T) {
+		// At 4x headroom a factor-0.5 degrade keeps the fabric transparent,
+		// so the scenario shards and shard 0 alone owns the fault.
+		set := NewSetup(ScaleSmall, 4)
+		set.Cluster.Testbed.FabricBandwidth = 4 * 4 * set.Cluster.Testbed.NICBandwidth
+		s := base(WithConfig(set.Cluster), WithFaults(FaultSpec{
+			Kind: FaultFabricDegrade, At: 1, Factor: 0.5, Duration: 1}))
+		cfg, _, _, err := s.resolve()
+		if err != nil {
+			t.Fatalf("resolve: %v", err)
+		}
+		plan := s.planPartition(cfg)
+		if plan == nil {
+			t.Fatal("planPartition = nil, want a plan")
+		}
+		if f := plan.shards[0].faults; len(f) != 1 || f[0].Kind != FaultFabricDegrade {
+			t.Errorf("shard 0 faults %v, want the one fabric-degrade fault", f)
+		}
+		for i, sp := range plan.shards[1:] {
+			if len(sp.faults) != 0 {
+				t.Errorf("shard %d carries faults %v, want none", i+1, sp.faults)
+			}
+		}
+	})
 }
-
-// fabricHeadroom recomputes the planner's transparency bound for the
-// scenario's scale, for use in test setup sanity checks.
-func fabricHeadroom(cfg cluster.Config) float64 {
-	return cfg.Testbed.FabricBandwidth / (float64(cfg.Nodes) * cfg.Testbed.NICBandwidth)
-}
-
-var _ = fabricHeadroom
-var _ params.Testbed

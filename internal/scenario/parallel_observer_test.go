@@ -40,7 +40,8 @@ func (r *recordingObserver) OnEvent(e trace.Event) {
 
 // observedScenario is a deterministic four-component scenario with sampling,
 // per-pair cross traffic, and a global fabric-degrade fault, so the sharded
-// run exercises the coupled (ShardSet) path with observers attached.
+// run delivers shard 0's fabric fault and capacity events alongside every
+// shard's own with observers attached.
 func observedScenario(obs trace.Observer, parallel bool) *Scenario {
 	const pairs = 4
 	nodes := 2 * pairs

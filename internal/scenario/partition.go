@@ -3,14 +3,12 @@ package scenario
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
-	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/metrics"
 	"github.com/hybridmig/hybridmig/internal/sim"
@@ -18,11 +16,11 @@ import (
 	"github.com/hybridmig/hybridmig/internal/trace"
 )
 
-// This file is the scenario half of the component-parallel kernel
-// (WithParallel): a partition planner that proves — conservatively — that a
-// scenario decomposes into independent fabric components, a sharded runner
-// that simulates each component on its own sim.Engine via sim.ShardSet, and
-// a deterministic merge of the per-shard Results.
+// This file is the component-parallel kernel (WithParallel): a partition
+// planner that proves — conservatively — that a scenario decomposes into
+// independent fabric components, a sharded runner that simulates each
+// component as an independent sub-run on its own sim.Engine, and a
+// deterministic merge of the per-shard Results.
 //
 // The planner's contract is soundness, not completeness: whenever it returns
 // a plan, the sharded run's Result agrees with the serial kernel field by
@@ -43,14 +41,14 @@ type shardPlan struct {
 	traffic    []TrafficSpec
 }
 
-// partitionPlan is the full decomposition. Fabric-degrade faults couple all
-// shards (every shard's switch link rescales at the same instants); they are
-// owned by shard 0 for trace emission, silently replicated into the others,
-// and their step times become the ShardSet's conservative coupling points.
+// partitionPlan is the full decomposition. Fabric-degrade faults belong to
+// shard 0, which installs their capacity schedule and emits their trace
+// events; the other shards carry no replica. None is needed: the planner
+// admits a fabric-degrade scenario only when the headroom test holds at the
+// lowest degrade factor, so the switch link is transparent in every shard at
+// every capacity step and its capacity changes no flow's rate.
 type partitionPlan struct {
-	shards        []shardPlan
-	fabricFaults  []FaultSpec
-	couplingTimes []float64
+	shards []shardPlan
 }
 
 // planPartition decides whether the scenario decomposes into ≥ 2 independent
@@ -97,13 +95,9 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 		}
 	}
 	minFactor := 1.0
-	var fabricFaults []FaultSpec
 	for _, f := range s.opt.faults {
-		if f.Kind == FaultFabricDegrade {
-			fabricFaults = append(fabricFaults, f)
-			if f.Factor < minFactor {
-				minFactor = f.Factor
-			}
+		if f.Kind == FaultFabricDegrade && f.Factor < minFactor {
+			minFactor = f.Factor
 		}
 	}
 	if float64(cfg.Nodes)*cfg.Testbed.NICBandwidth > cfg.Testbed.FabricBandwidth*minFactor {
@@ -147,8 +141,8 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 		m.Dst = raw[gi].local[m.Dst]
 		raw[gi].migrations = append(raw[gi].migrations, m)
 	}
-	// Fault owners: a raw shard index, or -1 for the fabric-degrade faults
-	// that couple everyone.
+	// Fault owners: a raw shard index, or -1 for the fabric-degrade faults,
+	// which go to plan shard 0.
 	owner := make([]int, len(s.opt.faults))
 	for fi, f := range s.opt.faults {
 		switch f.Kind {
@@ -191,7 +185,7 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 		return nil
 	}
 
-	plan := &partitionPlan{shards: make([]shardPlan, len(kept)), fabricFaults: fabricFaults}
+	plan := &partitionPlan{shards: make([]shardPlan, len(kept))}
 	for pi, gi := range kept {
 		plan.shards[pi] = raw[gi]
 	}
@@ -216,17 +210,6 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 		t.Src, t.Dst = sp.local[t.Src], sp.local[t.Dst]
 		sp.traffic = append(sp.traffic, t)
 	}
-	// Conservative coupling instants: every fabric capacity step (degrade and
-	// restore), deduplicated and ascending.
-	times := make(map[float64]bool)
-	for _, f := range fabricFaults {
-		times[f.At] = true
-		times[f.At+f.Duration] = true
-	}
-	for t := range times {
-		plan.couplingTimes = append(plan.couplingTimes, t)
-	}
-	sort.Float64s(plan.couplingTimes)
 	return plan
 }
 
@@ -269,13 +252,12 @@ func (s *Scenario) subScenario(cfg cluster.Config, plan *partitionPlan, i int, s
 	return sub
 }
 
-// runSharded executes the plan: one session per component, drained
-// concurrently, merged deterministically. Without coupling instants each
-// shard's whole lifecycle (build, drain, collect, release) runs inside its
-// worker, so peak memory is bounded by the worker count rather than the
-// shard count — what keeps 10,000-VM campaigns at paper fidelity feasible.
-// With coupling instants (fabric-degrade faults) every session must exist at
-// once and a sim.ShardSet aligns them at each capacity step.
+// runSharded executes the plan: every component is an independent sub-run,
+// and the shards never synchronize. Each shard's whole lifecycle (build,
+// drain, collect, release) runs inside its worker, so peak memory is bounded
+// by the worker count rather than the shard count — what keeps 10,000-VM
+// campaigns at paper fidelity feasible. The per-shard Results and errors are
+// merged deterministically by shard index.
 // check, when non-nil, is RunContext's cancellation poll; it is installed on
 // every shard engine so a cancel interrupts all shards promptly.
 func (s *Scenario) runSharded(cfg cluster.Config, plan *partitionPlan, check func() bool) (*Result, error) {
@@ -289,60 +271,14 @@ func (s *Scenario) runSharded(cfg cluster.Config, plan *partitionPlan, check fun
 	}
 	n := len(plan.shards)
 	results := make([]*Result, n)
-	var runErr error
-
-	if len(plan.couplingTimes) == 0 {
-		errs := make([]error, n)
-		parallelFor(n, workers, func(i int) {
-			results[i], errs[i] = s.runShard(cfg, plan, i, shared, check)
-		})
-		runErr = mergeShardErrors(errs, s.opt.horizon)
-	} else {
-		subs := make([]*Scenario, n)
-		sessions := make([]*session, n)
-		engines := make([]*sim.Engine, n)
-		for i := 0; i < n; i++ {
-			subs[i] = s.subScenario(cfg, plan, i, shared)
-			c2, set2, byName2, err := subs[i].resolve()
-			if err != nil {
-				return nil, err
-			}
-			sessions[i] = subs[i].build(c2, set2, byName2)
-			engines[i] = sessions[i].tb.Eng
-			if check != nil {
-				engines[i].SetInterrupt(interruptStride, check)
-			}
-			if i > 0 {
-				// Silent replicas of the global fabric schedule: the capacity
-				// steps fire at the same virtual instants on every shard's
-				// switch link, but only shard 0 (whose armFaults installed
-				// them with the bus) emits the fault and capacity events.
-				for _, f := range plan.fabricFaults {
-					sessions[i].tb.Cl.ApplySchedule([]fabric.CapacityStep{
-						{At: f.At, Role: fabric.LinkFabric, Factor: f.Factor},
-						{At: f.At + f.Duration, Role: fabric.LinkFabric, Factor: 1},
-					}, nil)
-				}
-			}
-		}
-		couplings := make([]sim.Coupling, len(plan.couplingTimes))
-		for k, t := range plan.couplingTimes {
-			couplings[k] = sim.Coupling{At: sim.Time(t)}
-		}
-		set := sim.NewShardSet(engines, workers)
-		runErr = set.Drain(couplings, sim.Time(s.opt.horizon))
-		set.Shutdown()
-		for i := 0; i < n; i++ {
-			ss := sessions[i]
-			results[i] = subs[i].collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns)
-		}
-	}
-	res := s.mergeShardResults(cfg, plan, results)
-	return res, runErr
+	errs := make([]error, n)
+	ForEach(n, workers, func(i int) {
+		results[i], errs[i] = s.runShard(cfg, plan, i, shared, check)
+	})
+	return s.mergeShardResults(cfg, plan, results), mergeShardErrors(errs, s.opt.horizon)
 }
 
-// runShard runs one component start to finish in isolation (the
-// no-couplings path).
+// runShard runs one component start to finish in isolation.
 func (s *Scenario) runShard(cfg cluster.Config, plan *partitionPlan, i int, shared trace.Observer, check func() bool) (*Result, error) {
 	sub := s.subScenario(cfg, plan, i, shared)
 	c2, set2, byName2, err := sub.resolve()
@@ -401,9 +337,9 @@ func (s *Scenario) mergeShardResults(cfg cluster.Config, plan *partitionPlan, re
 	return res
 }
 
-// mergeShardErrors folds per-shard drain errors deterministically, mirroring
-// sim.ShardSet: the first non-deadline error by shard index wins; deadline
-// errors merge into one (earliest stuck event, summed pending work).
+// mergeShardErrors folds per-shard drain errors deterministically: the first
+// non-deadline error by shard index wins; deadline errors merge into one
+// (earliest stuck event, summed pending work).
 func mergeShardErrors(errs []error, horizon float64) error {
 	var merged *sim.DeadlineError
 	for _, err := range errs {
@@ -489,8 +425,15 @@ func (l *lockedObservers) OnEvent(e trace.Event) {
 	}
 }
 
-// parallelFor runs fn(i) for i in [0, n), at most workers at a time.
-func parallelFor(n, workers int, fn func(i int)) {
+// ForEach runs fn(i) for every i in [0, n), at most workers at a time;
+// workers <= 1 runs the calls in order on the calling goroutine. Indices are
+// claimed from a shared counter, so completion order is arbitrary: callers
+// write results into index-addressed slots, never append. A panicking call
+// stops its worker; once the other workers have drained the remaining
+// indices, the first panic (by worker) is re-raised in the caller, so a
+// panic surfaces exactly as in a serial loop instead of crashing the
+// process from a worker goroutine.
+func ForEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -501,22 +444,28 @@ func parallelFor(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
-	next.Store(-1)
+	panics := make([]any, workers)
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			defer func() { panics[w] = recover() }()
 			for {
-				i := int(next.Add(1))
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				fn(i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // unionFind is a plain disjoint-set forest over node indices.

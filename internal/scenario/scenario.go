@@ -324,10 +324,11 @@ func WithPreseededImages() Option { return func(o *options) { o.preseed = true }
 
 // WithParallel runs the scenario on the component-parallel simulation
 // kernel: the planner partitions the declared VMs, migrations, traffic and
-// faults into connected components of the fabric, each component simulates
-// on its own event heap and clock (internal/sim.ShardSet), and the per-shard
-// results are merged deterministically. workers bounds the shards executing
-// concurrently; values <= 0 use GOMAXPROCS.
+// faults into connected components of the fabric, each component runs as an
+// independent sub-run on its own event heap and clock (the shards never
+// synchronize), and the per-shard results are merged deterministically.
+// workers bounds the shards executing concurrently; values <= 0 use
+// GOMAXPROCS.
 //
 // Parallel execution is conservative: a scenario the planner cannot prove
 // decomposable (campaigns or CM1 — their orchestration observes global

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/benchscen"
@@ -14,14 +13,6 @@ import (
 func BenchmarkAfterFire(b *testing.B) { benchscen.AfterFire(b) }
 
 func BenchmarkEngineTimerChurn(b *testing.B) { benchscen.TimerChurn(b) }
-
-func BenchmarkParallelComponents(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			benchscen.ParallelComponents(b, shards)
-		})
-	}
-}
 
 // BenchmarkProcPingPong measures the process dispatch round trip: one
 // sleeping process woken once per iteration.

@@ -326,33 +326,6 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// RunBefore executes events with timestamps strictly below limit, leaving
-// every event at or past limit queued and the clock at the last executed
-// event. It is the shard-stepping primitive of ShardSet: a shard running
-// RunBefore(t) provably never observes (or causes) anything at or after a
-// coupling scheduled at t, which is what makes conservative synchronization
-// at known coupling timestamps sound.
-func (e *Engine) RunBefore(limit Time) error {
-	if e.running {
-		panic("sim: Run called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].t >= limit {
-			break
-		}
-		if e.interrupted() {
-			return ErrInterrupted
-		}
-		e.fire(e.popEvent())
-	}
-	if e.stopped {
-		return ErrStopped
-	}
-	return nil
-}
-
 // Drain executes events until the queue empties, like RunUntil, but treats
 // reaching the limit with events still queued as an error: it returns a
 // *DeadlineError describing the stuck work. This is the run primitive for
