@@ -15,8 +15,10 @@
 // approach, workload), a migration plan (timed per-VM moves or an
 // orchestrated campaign under an admission policy), and run options — then
 // call Run, which returns a typed Result and a real error. There is no
-// process wiring, no engine access, and no panic on failure; a scenario
-// whose work cannot finish by the horizon fails with a *DeadlineError.
+// process wiring and no engine access. A scenario whose work cannot finish
+// by the horizon fails with a *DeadlineError, and a panic inside a
+// simulation process comes back as a *ProcPanicError instead of crashing
+// the program; a panic in a plain event callback still propagates.
 //
 // A minimal session:
 //
@@ -129,6 +131,12 @@ func SetupFor(s Scale, nodes int) Setup { return scenario.NewSetup(s, nodes) }
 // DeadlineError is returned (wrapped) by Scenario.Run when the simulation
 // still has pending work at the horizon; detect it with errors.As.
 type DeadlineError = sim.DeadlineError
+
+// ProcPanicError is returned by Scenario.Run and RunContext, with a nil
+// Result, when a simulation process panicked (a broken model invariant).
+// It names the process and the virtual time and carries the panic value and
+// the process's stack; detect it with errors.As.
+type ProcPanicError = sim.ProcPanicError
 
 // CanceledError is returned by Scenario.RunContext when its context was
 // canceled before the simulation drained; detect it with errors.As. Unwrap

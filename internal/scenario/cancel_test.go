@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
 	"github.com/hybridmig/hybridmig/internal/params"
@@ -123,18 +122,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		t.Fatalf("run was not interrupted promptly (clock %g s)", res.Clock)
 	}
 
-	// Shutdown must have released every parked process goroutine. The runtime
-	// reclaims them asynchronously, so poll briefly.
-	for i := 0; ; i++ {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Shutdown must have released every parked process.
+	waitNoLeak(t, before)
 }
 
 // TestRunContextCancelParallel drives the sharded kernel through the same

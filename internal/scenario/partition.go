@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -291,6 +292,9 @@ func (s *Scenario) runShard(cfg cluster.Config, plan *partitionPlan, i int, shar
 	}
 	runErr := ss.tb.Eng.Drain(sub.opt.horizon)
 	ss.tb.Eng.Shutdown()
+	if errors.As(runErr, new(*sim.ProcPanicError)) {
+		return nil, runErr
+	}
 	return sub.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns), runErr
 }
 

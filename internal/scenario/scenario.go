@@ -658,7 +658,9 @@ const interruptStride = 1024
 // Run assembles the testbed, executes the scenario until the simulation
 // drains, and collects the Result. On a horizon overrun it returns the
 // partial Result together with a *sim.DeadlineError; on a validation failure
-// it returns a nil Result and an error wrapping ErrInvalidScenario.
+// it returns a nil Result and an error wrapping ErrInvalidScenario; when a
+// simulation process panics it returns a nil Result and the
+// *sim.ProcPanicError.
 func (s *Scenario) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
@@ -673,7 +675,7 @@ func (s *Scenario) Validate() error {
 
 // RunContext is Run with cooperative cancellation: when ctx is canceled (or
 // its deadline passes) the engine stops between two events, every process
-// goroutine is shut down, and the partial Result is returned together with a
+// is shut down, and the partial Result is returned together with a
 // *CanceledError. A context that can never be canceled adds no overhead and
 // runs bit-identically to Run.
 func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
@@ -691,6 +693,9 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 	if s.opt.parallel {
 		if plan := s.planPartition(cfg); plan != nil {
 			res, err := s.runSharded(cfg, plan, check)
+			if errors.As(err, new(*sim.ProcPanicError)) {
+				return nil, err
+			}
 			if errors.Is(err, sim.ErrInterrupted) {
 				cerr := &CanceledError{Cause: context.Cause(ctx)}
 				if res != nil {
@@ -707,6 +712,11 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 	}
 	runErr := ss.tb.Eng.Drain(s.opt.horizon)
 	ss.tb.Eng.Shutdown()
+	if errors.As(runErr, new(*sim.ProcPanicError)) {
+		// A process broke a model invariant: no state of this run can be
+		// trusted, so there is no partial result.
+		return nil, runErr
+	}
 	res := s.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns)
 	if runErr != nil {
 		if errors.Is(runErr, sim.ErrInterrupted) {

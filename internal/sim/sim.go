@@ -2,11 +2,13 @@
 //
 // The kernel follows the classic process-interaction style (as popularized by
 // SimPy): simulation logic is written as ordinary sequential Go code inside
-// processes, and the engine interleaves processes on a virtual clock. Although
-// processes run on goroutines, exactly one goroutine is runnable at any
-// moment — the engine hands control to a process and does not proceed until
-// the process parks again — so simulations are fully deterministic and need
-// no locking.
+// processes, and the engine interleaves processes on a virtual clock. Each
+// process is an iter.Pull coroutine: the engine resumes it and does not
+// proceed until the process parks again, so exactly one process executes at
+// any moment, simulations are fully deterministic, and no locking is needed.
+// A coroutine switch bypasses the goroutine scheduler and allocates nothing.
+// A panic inside a process does not crash the program: the run loops return
+// it as a *ProcPanicError.
 //
 // Time is measured in seconds as float64. Ties between events scheduled for
 // the same instant are broken by scheduling order (a monotonically increasing
@@ -21,7 +23,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"runtime/debug"
 )
 
 // Time is a point on the virtual clock, in seconds.
@@ -30,8 +34,8 @@ type Time = float64
 // Duration is a span of virtual time, in seconds.
 type Duration = float64
 
-// errKilled is panicked inside process goroutines when the engine shuts
-// down; the process wrapper recovers it.
+// errKilled is panicked inside a process whose park was refused because the
+// engine is killing it; the process wrapper recovers it.
 var errKilled = errors.New("sim: process killed")
 
 // ErrStopped is returned by Run when the engine was stopped explicitly.
@@ -40,8 +44,8 @@ var ErrStopped = errors.New("sim: engine stopped")
 // ErrInterrupted is returned (wrapped) by the run loops when the interrupt
 // check installed with SetInterrupt reported true: the loop stopped between
 // two events, with the queue and processes intact. Callers that abandon the
-// run must still call Shutdown to release process goroutines. Detect it with
-// errors.Is.
+// run must still call Shutdown to release the parked processes. Detect it
+// with errors.Is.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // DeadlineError reports that a simulation reached its horizon with work
@@ -57,6 +61,20 @@ type DeadlineError struct {
 func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("sim: horizon %g s exceeded: %d events pending (next at %g s), %d live processes",
 		e.Horizon, e.Pending, e.Next, e.Live)
+}
+
+// ProcPanicError reports that a process panicked. The run loops return it
+// and stop; the model state is then suspect, so callers Shutdown the engine
+// and discard the run. Stack is the process's own stack at the panic.
+type ProcPanicError struct {
+	Proc  string // name given to Go
+	Clock Time   // virtual time of the panic
+	Value any    // the value passed to panic
+	Stack string
+}
+
+func (e *ProcPanicError) Error() string {
+	return fmt.Sprintf("sim: process %q panicked at %g s: %v", e.Proc, e.Clock, e.Value)
 }
 
 // event is a scheduled callback. Records are recycled through Engine.free;
@@ -100,11 +118,12 @@ type Engine struct {
 	queue   []*event // binary min-heap ordered by (t, seq)
 	free    []*event // recycled event records
 	seq     uint64
-	procs   map[*Proc]struct{}
-	order   []*Proc // live processes in spawn order, for deterministic kill
+	live    int     // processes started but not finished
+	order   []*Proc // processes in spawn order, for deterministic kill
 	stopped bool
 	running bool
-	current *Proc // process currently executing, nil when in engine context
+	current *Proc           // process currently executing, nil when in engine context
+	perr    *ProcPanicError // first process panic; ends every run loop
 
 	// Interrupt hook (SetInterrupt): checked between events, every
 	// intrEvery firings, by the run loops. The check must be safe to call
@@ -118,7 +137,7 @@ type Engine struct {
 
 // New returns a fresh engine with the clock at zero.
 func New() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -299,7 +318,8 @@ func (e *Engine) interrupted() bool {
 }
 
 // Run executes events until the queue drains or the engine is stopped.
-// It returns ErrStopped if Stop was called, nil otherwise.
+// It returns the *ProcPanicError if a process panicked, ErrStopped if Stop
+// was called, nil otherwise.
 func (e *Engine) Run() error { return e.RunUntil(math.Inf(1)) }
 
 // RunUntil executes events with timestamps <= limit. The clock is left at
@@ -311,7 +331,7 @@ func (e *Engine) RunUntil(limit Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 && !e.stopped && e.perr == nil {
 		if e.queue[0].t > limit {
 			break
 		}
@@ -319,6 +339,9 @@ func (e *Engine) RunUntil(limit Time) error {
 			return ErrInterrupted
 		}
 		e.fire(e.popEvent())
+	}
+	if e.perr != nil {
+		return e.perr
 	}
 	if e.stopped {
 		return ErrStopped
@@ -340,7 +363,7 @@ func (e *Engine) Drain(limit Time) error {
 			Horizon: limit,
 			Next:    e.queue[0].t,
 			Pending: len(e.queue),
-			Live:    len(e.procs),
+			Live:    e.live,
 		}
 	}
 	return nil
@@ -356,29 +379,24 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Stop terminates the run loop after the current event and kills all live
-// processes so their goroutines exit. The engine cannot be reused afterwards.
+// Stop terminates the run loop after the current event and kills every
+// other live process. The process that calls Stop, if any, is not killed: it
+// stays parked at its next park until Shutdown. The engine cannot be reused
+// afterwards.
 func (e *Engine) Stop() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	// Kill parked processes in spawn order for determinism. Processes that
-	// are currently running will observe stopped at their next park.
-	for _, p := range e.order {
-		if _, live := e.procs[p]; live && p != e.current && p.parked {
-			p.kill()
-		}
+	if !e.stopped {
+		e.Shutdown()
 	}
 }
 
-// Shutdown kills all live processes without requiring Run to be active.
-// Call it after Run returns to release goroutines from an abandoned
+// Shutdown kills every live process except the running one, in spawn order
+// for determinism, including processes that were never dispatched (their
+// bodies never run). Call it after Run returns to release an abandoned
 // simulation (e.g. one that ended with blocked processes).
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	for _, p := range e.order {
-		if _, live := e.procs[p]; live && p.parked {
+		if p != e.current {
 			p.kill()
 		}
 	}
@@ -386,27 +404,24 @@ func (e *Engine) Shutdown() {
 
 // LiveProcs returns the number of processes that have started but not
 // finished. A structurally complete simulation drains to zero.
-func (e *Engine) LiveProcs() int { return len(e.procs) }
+func (e *Engine) LiveProcs() int { return e.live }
 
 // PendingEvents returns the number of events still queued. Canceled timers
 // are removed eagerly, so they are never counted.
 func (e *Engine) PendingEvents() int { return len(e.queue) }
 
-// resumeMsg tells a parked process why it is being woken.
-type resumeMsg struct {
-	kill bool
-}
-
 // Proc is a simulation process: sequential code that can sleep on the
 // virtual clock and block on conditions. A Proc must only be used from its
-// own process function.
+// own process function. It runs as an iter.Pull coroutine: next resumes it,
+// yield parks it, stop kills it. All three are nil once the process has
+// finished or been killed, so its closure is collectable while the engine
+// lives on.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan resumeMsg
-	yield  chan struct{}
-	parked bool
-	dead   bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Engine returns the engine this process belongs to.
@@ -422,75 +437,60 @@ func (p *Proc) Name() string { return p.name }
 // virtual time, after the spawning context yields to the engine (i.e. it is
 // scheduled, not run inline).
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan resumeMsg),
-		yield:  make(chan struct{}),
-		parked: true, // a fresh process waits on resume like a parked one
-	}
-	e.procs[p] = struct{}{}
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.catch()
+		fn(p)
+	})
+	e.live++
 	e.order = append(e.order, p)
-	go p.top(fn)
 	e.scheduleProc(e.now, p)
 	return p
 }
 
-// top is the goroutine entry wrapper: it waits for the first dispatch, runs
-// fn, then announces termination to whoever is driving it.
-func (p *Proc) top(fn func(p *Proc)) {
-	defer func() {
-		p.dead = true
-		delete(p.eng.procs, p)
-		if r := recover(); r != nil {
-			if r == errKilled { //nolint:errorlint // sentinel identity is intended
-				p.yield <- struct{}{}
-				return
-			}
-			// Re-panic application errors on the engine side would lose the
-			// stack; crash here with context instead.
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-		}
-		p.yield <- struct{}{}
-	}()
-	msg := <-p.resume // first dispatch
-	if msg.kill {
-		panic(errKilled)
+// catch ends the process body: it swallows the errKilled unwinding and turns
+// any other panic into the engine's ProcPanicError, taking the stack here
+// because iter.Pull's re-raise in next would have lost these frames.
+func (p *Proc) catch() {
+	r := recover()
+	if r != nil && r != errKilled && p.eng.perr == nil { //nolint:errorlint // sentinel identity is intended
+		p.eng.perr = &ProcPanicError{Proc: p.name, Clock: p.eng.now, Value: r, Stack: string(debug.Stack())}
 	}
-	fn(p)
 }
 
 // dispatch hands control to p and returns once p parks or finishes.
 func (e *Engine) dispatch(p *Proc) {
-	if p.dead {
+	if p.next == nil {
 		return
 	}
 	prev := e.current
 	e.current = p
-	p.parked = false
-	p.resume <- resumeMsg{}
-	<-p.yield
+	if _, ok := p.next(); !ok {
+		p.release()
+	}
 	e.current = prev
 }
 
 // park yields control back to the engine and blocks until dispatched again.
 func (p *Proc) park() {
-	p.parked = true
-	p.yield <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
+	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
 }
 
-// kill wakes a parked process with a kill order; its goroutine unwinds.
+// kill unwinds a parked process, or retires one that was never dispatched.
 func (p *Proc) kill() {
-	if p.dead || !p.parked {
-		return
+	if p.stop != nil {
+		p.stop()
+		p.release()
 	}
-	p.parked = false
-	p.resume <- resumeMsg{kill: true}
-	<-p.yield
+}
+
+// release drops the coroutine of a finished or killed process.
+func (p *Proc) release() {
+	p.next, p.stop, p.yield = nil, nil, nil
+	p.eng.live--
 }
 
 // Sleep suspends the process for d seconds of virtual time. Negative and

@@ -3,8 +3,12 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+	"weak"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -272,6 +276,152 @@ func TestStopFromProcess(t *testing.T) {
 	if e.Now() != 1 {
 		t.Fatalf("clock = %v, want 1", e.Now())
 	}
+}
+
+// waitGoroutines polls until the goroutine count is back to at most limit:
+// the runtime reclaims exited coroutines asynchronously.
+func waitGoroutines(t *testing.T, limit int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > limit; i++ {
+		if i > 100 {
+			t.Fatalf("goroutines leaked: %d, want <= %d", runtime.NumGoroutine(), limit)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func panicAtThree(p *Proc) {
+	p.Sleep(3)
+	panic("boom")
+}
+
+// TestProcPanicError: a process panic ends the run as a *ProcPanicError
+// naming the process, the virtual time and the panicking frame, instead of
+// crashing the program; Shutdown then releases every other process.
+func TestProcPanicError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	var c Cond
+	e.Go("waiter", func(p *Proc) { c.Wait(p) })
+	e.Go("sleeper", func(p *Proc) { p.Sleep(10) })
+	e.Go("bad", panicAtThree)
+	err := e.Drain(100)
+	var pe *ProcPanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Drain err = %v, want *ProcPanicError", err)
+	}
+	if pe.Proc != "bad" || pe.Clock != 3 || pe.Value != "boom" {
+		t.Fatalf("ProcPanicError = {%q, %g, %v}, want {bad, 3, boom}", pe.Proc, pe.Clock, pe.Value)
+	}
+	if !strings.Contains(pe.Stack, "panicAtThree") {
+		t.Fatalf("Stack does not name the panicking function:\n%s", pe.Stack)
+	}
+	if e.Now() != 3 || e.LiveProcs() != 2 {
+		t.Fatalf("run went on after the panic: clock %g, %d live procs", e.Now(), e.LiveProcs())
+	}
+	if err := e.Run(); !errors.Is(err, pe) {
+		t.Fatalf("Run after a panic = %v, want the same *ProcPanicError", err)
+	}
+	e.Shutdown()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs after Shutdown = %d, want 0", e.LiveProcs())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestKillUndispatchedProc: Stop and Shutdown retire a process that was
+// spawned but never dispatched without running its body.
+func TestKillUndispatchedProc(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, kill := range []string{"Stop", "Shutdown"} {
+		e := New()
+		if kill == "Stop" {
+			e.At(0, e.Stop) // fires before the spawn's own dispatch at t=0
+		}
+		ran := false
+		e.Go("never", func(p *Proc) { ran = true })
+		if kill == "Shutdown" {
+			e.Shutdown()
+		}
+		if err := e.Run(); !errors.Is(err, ErrStopped) {
+			t.Fatalf("%s: Run = %v, want ErrStopped", kill, err)
+		}
+		if ran || e.LiveProcs() != 0 {
+			t.Fatalf("%s: body ran %v, LiveProcs %d", kill, ran, e.LiveProcs())
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// spawnHolder starts a process whose closure captures a fresh object and
+// returns a weak pointer to it.
+func spawnHolder(e *Engine, c *Cond) weak.Pointer[[64]int] {
+	obj := new([64]int)
+	e.Go("holder", func(p *Proc) {
+		p.Sleep(1)
+		obj[0]++
+		if c != nil {
+			c.Wait(p)
+		}
+	})
+	return weak.Make(obj)
+}
+
+// TestFinishedProcCollectable: once a process finishes or is killed, its
+// closure's captures are collectable while the engine is still alive, so a
+// long run's memory does not grow with every process it ever spawned.
+func TestFinishedProcCollectable(t *testing.T) {
+	e := New()
+	var c Cond
+	finished := spawnHolder(e, nil)
+	killed := spawnHolder(e, &c)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Shutdown()
+	runtime.GC()
+	if finished.Value() != nil {
+		t.Error("a finished process's captures are still reachable")
+	}
+	if killed.Value() != nil {
+		t.Error("a killed process's captures are still reachable")
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(&c)
+}
+
+// TestProcSwitchZeroAlloc pins the process kernel's steady state: a Sleep
+// wake-up and a Cond hand-off each dispatch a process and park it again
+// without allocating.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	e := New()
+	var c Cond
+	stop := false
+	e.Go("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+		}
+	})
+	e.Go("waiter", func(p *Proc) {
+		for !stop {
+			c.Wait(p)
+		}
+	})
+	for i := 0; i < 8; i++ {
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Signal(e)
+		if !e.Step() || !e.Step() {
+			t.Fatal("no event to fire")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("process switch allocates %v/op, want 0", allocs)
+	}
+	stop = true
+	e.Shutdown()
 }
 
 func TestRunUntil(t *testing.T) {
