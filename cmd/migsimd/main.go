@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/hybridmig/hybridmig/internal/service"
+	_ "github.com/hybridmig/hybridmig/internal/strategy/adaptive" // register the sixth strategy
 )
 
 func main() {

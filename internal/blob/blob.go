@@ -27,11 +27,6 @@ import (
 // "never written" (reads as zeros).
 type ContentID uint64
 
-// stripeLoc describes where the replicas of one stripe live.
-type stripeLoc struct {
-	servers []int // indices into Store.Servers
-}
-
 // Store is the repository service.
 type Store struct {
 	Cluster *fabric.Cluster
@@ -88,7 +83,6 @@ type Blob struct {
 
 	version int
 	content []ContentID
-	loc     []stripeLoc
 }
 
 // Stripes returns the number of stripes in the blob.
@@ -99,7 +93,7 @@ func (b *Blob) Version() int { return b.version }
 
 // Create allocates a blob of the given size with zero content. Stripe i is
 // placed on servers (i, i+1, ... i+R-1) mod N — BlobSeer-style round-robin
-// with replication.
+// with replication. Placement is that formula, so a blob stores no table.
 func (s *Store) Create(size int64) *Blob {
 	if size <= 0 {
 		panic("blob: size must be positive")
@@ -110,16 +104,8 @@ func (s *Store) Create(size int64) *Blob {
 		ID:      s.nextBlobID,
 		Size:    size,
 		content: make([]ContentID, n),
-		loc:     make([]stripeLoc, n),
 	}
 	s.nextBlobID++
-	for i := range b.loc {
-		servers := make([]int, s.P.Replication)
-		for r := range servers {
-			servers[r] = (i + r) % len(s.Servers)
-		}
-		b.loc[i] = stripeLoc{servers: servers}
-	}
 	return b
 }
 
@@ -149,9 +135,11 @@ func (b *Blob) ContentAt(i int) ContentID { return b.content[i] }
 // replica choice across successive read requests so repeated reads of the
 // same stripes spread over all replicas deterministically.
 func (b *Blob) stripeServer(i, round int) int {
-	loc := b.loc[i]
-	return loc.servers[(i+round)%len(loc.servers)]
+	return b.replicaServer(i, (i+round)%b.Store.P.Replication)
 }
+
+// replicaServer returns the server holding replica r of stripe i.
+func (b *Blob) replicaServer(i, r int) int { return (i + r) % len(b.Store.Servers) }
 
 // Read fetches stripes [first, first+count) to the client node, blocking
 // until all data has arrived. It issues one flow per contiguous same-server
@@ -247,7 +235,7 @@ func (b *Blob) Write(p *sim.Proc, client *fabric.Node, first int, ids []ContentI
 	perServer := make(map[int]int64)
 	order := make([]int, 0, 4)
 	for i := first; i < first+count; i++ {
-		srv := b.loc[i].servers[0]
+		srv := b.replicaServer(i, 0)
 		if _, ok := perServer[srv]; !ok {
 			order = append(order, srv)
 		}

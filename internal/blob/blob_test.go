@@ -41,6 +41,35 @@ func TestCreateGeometry(t *testing.T) {
 	}
 }
 
+// TestPlacementTable pins the formula placement to the per-stripe table
+// Create once built: replica r of stripe i on server (i+r) mod N, reads
+// picking replica (i+round) mod R, writes going to replica 0.
+func TestPlacementTable(t *testing.T) {
+	for _, n := range []int{1, 3, 5} {
+		for _, repl := range []int{1, 2, 3} {
+			_, _, st := testStore(n, repl)
+			b := st.Create(100 * 17)
+			r := min(repl, n) // NewStore clamps replication to the server count
+			for i := 0; i < b.Stripes(); i++ {
+				table := make([]int, r)
+				for k := range table {
+					table[k] = (i + k) % n
+				}
+				for k, want := range table {
+					if got := b.replicaServer(i, k); got != want {
+						t.Fatalf("N=%d R=%d: replica %d of stripe %d on %d, want %d", n, repl, k, i, got, want)
+					}
+				}
+				for round := 0; round < 2*r+1; round++ {
+					if got, want := b.stripeServer(i, round), table[(i+round)%r]; got != want {
+						t.Fatalf("N=%d R=%d: stripe %d round %d read from %d, want %d", n, repl, i, round, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPutContentAndClone(t *testing.T) {
 	_, _, st := testStore(4, 1)
 	b := st.Create(400)

@@ -6,12 +6,17 @@
 // A virtual disk image of S bytes with chunk size C has ceil(S/C) chunks,
 // numbered from zero. All sets in this package are dense (bitmap-backed)
 // because the image is small relative to memory and most operations touch
-// large contiguous runs.
+// large contiguous runs. Range operations work on whole 64-bit words:
+// AddRange and RemoveRange set and clear masked words, RunEnd finds where a
+// run ends with one trailing-zero count per word, and DiffRuns walks the
+// runs of a set difference. Runs, not single chunks, are the unit the guest
+// cache, the hypervisor images and the migration manager hand around.
 package chunk
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/bits"
 )
 
@@ -152,10 +157,112 @@ func (s *Set) Remove(c Idx) bool {
 	return true
 }
 
-// AddRange inserts all chunks in [first, last].
+// checkRange validates a non-empty interval [first, last].
+func (s *Set) checkRange(first, last Idx) {
+	s.check(first)
+	s.check(last)
+	if last < first {
+		panic(fmt.Sprintf("chunk: empty interval [%d, %d]", first, last))
+	}
+}
+
+// rangeMask returns the bits of word w that fall inside [first, last].
+func rangeMask(w int, first, last Idx) uint64 {
+	m := ^uint64(0)
+	if w == int(first>>6) {
+		m <<= uint(first) & 63
+	}
+	if w == int(last>>6) {
+		m &= ^uint64(0) >> (63 - uint(last)&63)
+	}
+	return m
+}
+
+// AddRange inserts all chunks in [first, last], a word at a time. An
+// interval with last < first is empty and changes nothing.
 func (s *Set) AddRange(first, last Idx) {
-	for c := first; c <= last; c++ {
-		s.Add(c)
+	if last < first {
+		return
+	}
+	s.checkRange(first, last)
+	for w := int(first >> 6); w <= int(last>>6); w++ {
+		m := rangeMask(w, first, last)
+		s.pop += bits.OnesCount64(m &^ s.bits[w])
+		s.bits[w] |= m
+	}
+}
+
+// RemoveRange deletes all chunks in [first, last], a word at a time. An
+// interval with last < first is empty and changes nothing.
+func (s *Set) RemoveRange(first, last Idx) {
+	if last < first {
+		return
+	}
+	s.checkRange(first, last)
+	for w := int(first >> 6); w <= int(last>>6); w++ {
+		m := rangeMask(w, first, last)
+		s.pop -= bits.OnesCount64(m & s.bits[w])
+		s.bits[w] &^= m
+	}
+}
+
+// RunEnd returns the last index e in [c, last] such that every chunk in
+// [c, e] has the same membership as c. It scans a word at a time: the
+// first differing chunk is the lowest set bit of the word (c absent) or of
+// its complement (c present).
+func (s *Set) RunEnd(c, last Idx) Idx {
+	s.checkRange(c, last)
+	w, lw := int(c>>6), int(last>>6)
+	var flip uint64
+	if s.bits[w]&(1<<(uint(c)&63)) != 0 {
+		flip = ^uint64(0)
+	}
+	x := (s.bits[w] ^ flip) &^ (1<<(uint(c)&63) - 1)
+	for x == 0 {
+		if w == lw {
+			return last
+		}
+		w++
+		x = s.bits[w] ^ flip
+	}
+	return min(Idx(w*64+bits.TrailingZeros64(x))-1, last)
+}
+
+// DiffRuns yields every maximal run [first, last] of chunks that are in s
+// but not in other, in ascending order, computing s &^ other a word at a
+// time (the sets must be the same size).
+func (s *Set) DiffRuns(other *Set) iter.Seq2[Idx, Idx] {
+	if other.n != s.n {
+		panic("chunk: difference of different-sized sets")
+	}
+	return func(yield func(first, last Idx) bool) {
+		start := -1 // first index of the run being extended, or -1
+		for w := range s.bits {
+			word := s.bits[w] &^ other.bits[w]
+			b := 0
+			for b < 64 {
+				if start < 0 {
+					rest := word >> uint(b)
+					if rest == 0 {
+						break
+					}
+					b += bits.TrailingZeros64(rest)
+					start = w*64 + b
+				}
+				rest := ^word >> uint(b)
+				if rest == 0 {
+					break // the run continues into the next word
+				}
+				b += bits.TrailingZeros64(rest)
+				if !yield(Idx(start), Idx(w*64+b-1)) {
+					return
+				}
+				start = -1
+			}
+		}
+		if start >= 0 {
+			yield(Idx(start), Idx(s.n-1))
+		}
 	}
 }
 
@@ -234,19 +341,19 @@ func (s *Set) NextFrom(c Idx) Idx {
 }
 
 // NextRunFrom returns the first contiguous run of members starting at or
-// after c, up to maxLen chunks long. Returns (-1, 0) when no member remains.
-// The migration manager uses runs to batch contiguous chunks into single
-// streamed transfers.
+// after c, up to maxLen (>= 1) chunks long. Returns (-1, 0) when no member
+// remains. The migration manager uses runs to batch contiguous chunks into
+// single streamed transfers.
 func (s *Set) NextRunFrom(c Idx, maxLen int) (start Idx, length int) {
+	if maxLen < 1 {
+		panic(fmt.Sprintf("chunk: run length limit %d < 1", maxLen))
+	}
 	start = s.NextFrom(c)
 	if start < 0 {
 		return -1, 0
 	}
-	length = 1
-	for length < maxLen && int(start)+length < s.n && s.Contains(start+Idx(length)) {
-		length++
-	}
-	return start, length
+	last := start + Idx(min(maxLen, s.n-int(start))) - 1
+	return start, int(s.RunEnd(start, last)-start) + 1
 }
 
 // Counter tracks per-chunk write counts. Counts saturate at the maximum

@@ -439,6 +439,42 @@ func TestBasePrefetchFetchesHints(t *testing.T) {
 	}
 }
 
+// TestBasePrefetchRunsAcrossWords: the hints are the runs of the source's
+// local &^ modified, and the prefetcher skips the leading chunks of a run
+// the destination wrote meanwhile. The runs cross 64-chunk word boundaries.
+func TestBasePrefetchRunsAcrossWords(t *testing.T) {
+	r := newRig()
+	im := r.image(ModeHybrid, 0)
+	r.eng.Go("setup", func(p *sim.Proc) {
+		im.Read(p, 40*chunkSize, 31*chunkSize)  // chunks 40..70 local
+		im.Read(p, 190*chunkSize, 11*chunkSize) // chunks 190..200 local
+		im.Write(p, 0, 4*chunkSize)             // chunks 0..3 modified
+		im.Write(p, 55*chunkSize, chunkSize)    // splits 40..70 at 55
+		// Hints: [40,54], [56,70], [190,200]. The first two take ~0.19 s at
+		// the 40 MB/s prefetch cap; the destination overwrites 190..193
+		// well before the prefetcher reaches the third.
+		migrate(r, im, 1, 2, func(p *sim.Proc) {
+			im.Write(p, 190*chunkSize, 4*chunkSize)
+			im.WaitComplete(p)
+			p.Sleep(10) // let the base prefetcher finish
+			before := r.store.ReadBytes()
+			im.Read(p, 40*chunkSize, 31*chunkSize)
+			im.Read(p, 190*chunkSize, 11*chunkSize)
+			if got := r.store.ReadBytes() - before; got != 0 {
+				t.Errorf("hinted chunks re-fetched %v bytes from the repository", got)
+			}
+		})
+	})
+	r.run(t)
+	st := im.Stats()
+	if !st.Complete {
+		t.Fatal("migration incomplete")
+	}
+	if want := float64((15 + 15 + 7) * chunkSize); st.PrefetchBytes != want {
+		t.Fatalf("prefetch bytes = %v, want %v (runs 40..54, 56..70, 194..200)", st.PrefetchBytes, want)
+	}
+}
+
 func TestBasePrefetchDisabled(t *testing.T) {
 	r := newRig()
 	opts := DefaultOptions(ModeHybrid)

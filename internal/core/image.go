@@ -451,10 +451,7 @@ func (im *Image) fetchBase(p *sim.Proc, c, end chunk.Idx) {
 	length := r2.End() - r1.Off
 	im.base.ReadRange(p, im.cur.node, r1.Off, length)
 	im.stats.RepoReadBytes += float64(length)
-	side := im.cur
-	for i := c; i <= end; i++ {
-		side.local.Add(i)
-	}
+	im.cur.local.AddRange(c, end)
 	// Cache the fetched content locally; writeback persists it to disk.
 	im.store(p, r1.Off, length)
 }
@@ -487,9 +484,7 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	side := im.cur
 	if im.isDest() {
 		// Algorithm 2, destination role: cancel pending pulls.
-		for c := first; c <= last; c++ {
-			im.remaining.Remove(c)
-		}
+		im.remaining.RemoveRange(first, last)
 	}
 	var mirrorFlow *flow.Flow
 	epoch := im.migEpoch

@@ -181,11 +181,11 @@ func (im *Image) startBulkCopy() {
 			if start < 0 {
 				break
 			}
+			todo.RemoveRange(start, start+chunk.Idx(n-1))
 			batch := make([]chunk.Idx, 0, n)
 			snapshot := make([]uint64, 0, n)
 			for i := 0; i < n; i++ {
 				c := start + chunk.Idx(i)
-				todo.Remove(c)
 				batch = append(batch, c)
 				snapshot = append(snapshot, src.content[c])
 			}
@@ -352,15 +352,13 @@ func (im *Image) finishMirror() {
 func (im *Image) transferIOControl() {
 	im.stats.ControlAt = im.eng.Now()
 	im.emitPhase("control-transfer")
-	// Hints: base-image content the source had cached (hot base content).
-	var hints []chunk.Idx
+	// Hints: base-image content the source had cached (hot base content),
+	// as the maximal runs of local &^ modified.
+	var hints []chunkRun
 	if im.opts.BasePrefetch {
-		im.cur.local.ForEach(func(c chunk.Idx) bool {
-			if !im.cur.modified.Contains(c) {
-				hints = append(hints, c)
-			}
-			return true
-		})
+		for first, last := range im.cur.local.DiffRuns(im.cur.modified) {
+			hints = append(hints, chunkRun{first, last})
+		}
 	}
 	counts := im.writeCount.Snapshot()
 	if !im.opts.PullPriority {
@@ -502,25 +500,22 @@ func (im *Image) onDemandPull(p *sim.Proc, first, last chunk.Idx) {
 	}
 }
 
+// chunkRun is the chunk interval [first, last].
+type chunkRun struct{ first, last chunk.Idx }
+
 // startBasePrefetch fetches hot base-image content from the repository in
 // the background (never from the source), rate-capped so it does not starve
-// the pulls.
-func (im *Image) startBasePrefetch(hints []chunk.Idx) {
+// the pulls. hints are disjoint runs in ascending order.
+func (im *Image) startBasePrefetch(hints []chunkRun) {
 	epoch := im.migEpoch
 	im.eng.Go(im.name+"/baseprefetch", func(p *sim.Proc) {
 		dest := im.cur
-		for i := 0; i < len(hints) && im.migEpoch == epoch; {
-			// Coalesce a contiguous run of hinted chunks.
-			j := i
-			for j+1 < len(hints) && hints[j+1] == hints[j]+1 {
-				j++
+		for _, h := range hints {
+			if im.migEpoch != epoch {
+				return
 			}
-			first, last := hints[i], hints[j]
-			i = j + 1
 			// Skip chunks that arrived some other way meanwhile.
-			for first <= last && (dest.local.Contains(first) || dest.modified.Contains(first)) {
-				first++
-			}
+			first, last := dest.firstMissing(h.first, h.last), h.last
 			if first > last {
 				continue
 			}
@@ -535,14 +530,33 @@ func (im *Image) startBasePrefetch(hints []chunk.Idx) {
 				return // aborted: the crashed destination discards the prefetch
 			}
 			im.stats.PrefetchBytes += float64(length)
-			for c := first; c <= last; c++ {
+			// Install base content wherever no modified chunk overrides it.
+			for c := first; c <= last; {
+				end := dest.modified.RunEnd(c, last)
 				if !dest.modified.Contains(c) {
-					dest.local.Add(c)
+					dest.local.AddRange(c, end)
 				}
+				c = end + 1
 			}
 			im.notifyInstall(first, last)
 		}
 	})
+}
+
+// firstMissing returns the first chunk of [first, last] the side holds
+// neither locally nor as modified, or last+1 when it holds them all.
+func (sd *side) firstMissing(first, last chunk.Idx) chunk.Idx {
+	for first <= last {
+		switch {
+		case sd.local.Contains(first):
+			first = sd.local.RunEnd(first, last) + 1
+		case sd.modified.Contains(first):
+			first = sd.modified.RunEnd(first, last) + 1
+		default:
+			return first
+		}
+	}
+	return first
 }
 
 // maybeComplete releases the source once the destination owes it nothing.

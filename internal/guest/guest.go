@@ -212,10 +212,8 @@ func (c *Cache) Write(p *sim.Proc, off, length int64) {
 	}
 	p.Sleep(float64(length) / c.g.P.CacheWriteBandwidth)
 	first, last := c.span(off, length)
-	for pg := first; pg <= last; pg++ {
-		c.cached.Add(pg)
-		c.dirty.Add(pg)
-	}
+	c.cached.AddRange(first, last)
+	c.dirty.AddRange(first, last)
 	c.AbsorbedBytes += float64(length)
 	c.wbKick.Broadcast(c.eng)
 }
@@ -234,10 +232,7 @@ func (c *Cache) Read(p *sim.Proc, off, length int64) {
 	run := first
 	for run <= last {
 		inCache := c.cached.Contains(run)
-		end := run
-		for end+1 <= last && c.cached.Contains(end+1) == inCache {
-			end++
-		}
+		end := c.cached.RunEnd(run, last)
 		runOff := int64(run) * c.pageSize
 		runLen := int64(end-run+1) * c.pageSize
 		if rem := off + length - runOff; rem < runLen {
@@ -252,9 +247,7 @@ func (c *Cache) Read(p *sim.Proc, off, length int64) {
 			c.HitBytes += float64(runLen)
 		} else {
 			c.inner.Read(p, runOff, runLen)
-			for pg := run; pg <= end; pg++ {
-				c.cached.Add(pg)
-			}
+			c.cached.AddRange(run, end)
 			c.MissBytes += float64(runLen)
 			c.dirtyGuestMem(runOff, runLen)
 		}
@@ -295,10 +288,7 @@ func (c *Cache) MarkCachedRange(off, length int64) {
 	if !c.on || length <= 0 {
 		return
 	}
-	first, last := c.span(off, length)
-	for pg := first; pg <= last; pg++ {
-		c.cached.Add(pg)
-	}
+	c.cached.AddRange(c.span(off, length))
 }
 
 // writebackLoop is the flusher thread: whenever dirty pages exist it writes
@@ -324,9 +314,7 @@ func (c *Cache) writebackLoop(p *sim.Proc) {
 		if start < 0 {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			c.dirty.Remove(start + chunk.Idx(i))
-		}
+		c.dirty.RemoveRange(start, start+chunk.Idx(n-1))
 		c.throttle.Broadcast(c.eng)
 		off := int64(start) * c.pageSize
 		length := int64(n) * c.pageSize

@@ -43,6 +43,10 @@ const (
 )
 
 func newTestGuest(eng *sim.Engine) (*Guest, *stubImage) {
+	return newTestGuestSized(eng, testImageSize)
+}
+
+func newTestGuestSized(eng *sim.Engine, imageSize int64) (*Guest, *stubImage) {
 	tb := params.DefaultTestbed()
 	tb.DiskBandwidth = 10 * params.MB // slow disk: cache effects visible
 	tb.NetLatency = 0
@@ -51,7 +55,7 @@ func newTestGuest(eng *sim.Engine) (*Guest, *stubImage) {
 	mem := vm.NewMemory(testRAM, 256*params.KB)
 	v := vm.New(eng, "vm0", cl.Nodes[0], mem, 1)
 	img := &stubImage{
-		geo:  chunk.NewGeometry(testImageSize, 256*params.KB),
+		geo:  chunk.NewGeometry(imageSize, 256*params.KB),
 		cl:   cl,
 		node: cl.Nodes[0],
 	}
@@ -240,6 +244,62 @@ func TestReadHitVsMiss(t *testing.T) {
 		t.Fatalf("hit/miss accounting: %v/%v", g.Cache.HitBytes, g.Cache.MissBytes)
 	}
 	eng.Shutdown()
+}
+
+// TestCacheRangesAcrossWords drives Write, Read and MarkCachedRange over
+// unaligned ranges that straddle a 64-page bitmap word and the image's
+// short last page (alone in the last word), then drains writeback. Every
+// byte counter is computed by hand.
+func TestCacheRangesAcrossWords(t *testing.T) {
+	const pg = 16 * params.KB         // CachePage
+	const size = testImageSize + 6000 // pages 0..4096; page 4096 holds 6000 bytes
+	eng := sim.New()
+	g, img := newTestGuestSized(eng, size)
+	c := g.Cache
+	check := func(step string, got, want int64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %d, want %d", step, got, want)
+		}
+	}
+	eng.Go("app", func(p *sim.Proc) {
+		c.Write(p, 60*pg+100, 8*pg) // pages 60..68
+		check("dirty after write", c.DirtyBytes(), 9*pg)
+		check("cached after write", c.CachedBytes(), 9*pg)
+		c.MarkCachedRange(4094*pg+7, size-4094*pg-7) // pages 4094..4096
+		check("cached after mark", c.CachedBytes(), 12*pg)
+		// Pages 58..69: miss 58..59 (from byte 50), hit 60..68, miss 69.
+		c.Read(p, 58*pg+50, 12*pg-50)
+		check("cached after read", c.CachedBytes(), 15*pg)
+		// Pages 4093..4096: miss 4093 (from byte 1), hit to the image end.
+		c.Read(p, 4093*pg+1, size-4093*pg-1)
+		check("cached after tail read", c.CachedBytes(), 16*pg)
+		c.Write(p, size-100, 100) // page 4096
+		c.Sync(p)
+		check("dirty after sync", c.DirtyBytes(), 0)
+		check("cached after sync", c.CachedBytes(), 16*pg)
+	})
+	if err := eng.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	eng.Shutdown()
+	if want := float64(8*pg + 100); c.AbsorbedBytes != want {
+		t.Errorf("AbsorbedBytes = %v, want %v", c.AbsorbedBytes, want)
+	}
+	if want := float64(11*pg + 6000); c.HitBytes != want {
+		t.Errorf("HitBytes = %v, want %v", c.HitBytes, want)
+	}
+	if want := float64(4*pg - 51); c.MissBytes != want {
+		t.Errorf("MissBytes = %v, want %v", c.MissBytes, want)
+	}
+	if want := float64(9*pg + 6000); c.WritebackBytes != want {
+		t.Errorf("WritebackBytes = %v, want %v", c.WritebackBytes, want)
+	}
+	check("image read bytes", img.readBytes, 4*pg-51)
+	want := []chunk.Range{{Off: 60 * pg, Len: 9 * pg}, {Off: 4096 * pg, Len: 6000}}
+	if len(img.writes) != len(want) || img.writes[0] != want[0] || img.writes[1] != want[1] {
+		t.Errorf("writeback submissions = %v, want %v", img.writes, want)
+	}
 }
 
 func TestReadAfterWriteHitsCache(t *testing.T) {

@@ -116,10 +116,7 @@ func (im *COWImage) Read(p *sim.Proc, off, length int64) {
 	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
 	for c := first; c <= last; {
 		inLocal := im.local.Contains(c)
-		end := c
-		for end+1 <= last && im.local.Contains(end+1) == inLocal {
-			end++
-		}
+		end := im.local.RunEnd(c, last)
 		bytes := im.runBytes(off, length, c, end)
 		if inLocal {
 			lo := im.geo.ChunkRange(c).Off
@@ -161,13 +158,13 @@ func (im *COWImage) Write(p *sim.Proc, off, length int64) {
 	}
 	im.store(p, off, length)
 	im.WriteBytes += float64(length)
+	im.local.AddRange(first, last)
+	if im.tracking {
+		im.dirty.AddRange(first, last)
+	}
 	for c := first; c <= last; c++ {
-		im.local.Add(c)
 		im.seq++
 		im.content[c] = im.seq
-		if im.tracking {
-			im.dirty.Add(c)
-		}
 	}
 }
 
@@ -290,10 +287,7 @@ func (im *SharedImage) Read(p *sim.Proc, off, length int64) {
 	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
 	for c := first; c <= last; {
 		inSnap := im.written.Contains(c)
-		end := c
-		for end+1 <= last && im.written.Contains(end+1) == inSnap {
-			end++
-		}
+		end := im.written.RunEnd(c, last)
 		bytes := im.runBytes(off, length, c, end)
 		r1 := im.geo.ChunkRange(c)
 		src := im.base
@@ -330,8 +324,8 @@ func (im *SharedImage) writeFrom(p *sim.Proc, node *fabric.Node, off, length int
 	im.snap.Write(p, node, off, length, pfs.ContentID(im.seq))
 	im.WriteBytes += float64(length)
 	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
+	im.written.AddRange(first, last)
 	for c := first; c <= last; c++ {
-		im.written.Add(c)
 		im.content[c] = im.seq
 	}
 }
