@@ -1,6 +1,7 @@
 // Package benchscen holds the benchmark scenario bodies shared by the
-// package benchmarks (internal/flow, internal/sim) and cmd/benchreport, so
-// `go test -bench` and BENCH.json always measure the same thing.
+// package benchmarks (internal/flow, internal/sim) and the per-layer probes
+// of the benchmark module (benchmark/probes.go), so `go test -bench` and
+// the benchmark's matching sim and flow metrics measure the same thing.
 package benchscen
 
 import (

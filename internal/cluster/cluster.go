@@ -80,9 +80,6 @@ type Config struct {
 	// period, reconcile interval, and the NoFencing demonstrator switch);
 	// the zero value selects the defaults.
 	Lease lease.Options
-	// ManagerOverride, when non-nil, replaces the manager options derived
-	// from Manager (used by ablations).
-	ManagerOverride *core.Options
 }
 
 // DefaultConfig returns the paper's testbed at the given node count.
@@ -217,17 +214,16 @@ type Instance struct {
 // against.
 func (tb *Testbed) strategyEnv() strategy.Env {
 	return strategy.Env{
-		Eng:             tb.Eng,
-		Cl:              tb.Cl,
-		Geo:             tb.geo,
-		Base:            tb.baseBlob,
-		BasePFS:         tb.basePFS,
-		PFS:             tb.PFS,
-		Bus:             tb.bus,
-		HV:              tb.Cfg.HV,
-		Manager:         tb.Cfg.Manager,
-		ManagerOverride: tb.Cfg.ManagerOverride,
-		Leases:          tb.leases,
+		Eng:     tb.Eng,
+		Cl:      tb.Cl,
+		Geo:     tb.geo,
+		Base:    tb.baseBlob,
+		BasePFS: tb.basePFS,
+		PFS:     tb.PFS,
+		Bus:     tb.bus,
+		HV:      tb.Cfg.HV,
+		Manager: tb.Cfg.Manager,
+		Leases:  tb.leases,
 	}
 }
 
@@ -388,16 +384,12 @@ func (tb *Testbed) LowIO(inst *Instance) bool {
 // MigrateAll executes a campaign of migrations under the policy, blocking
 // until every request has completed, and returns the campaign's aggregate
 // stats. Requests are admitted in slice order; identical inputs yield
-// identical campaigns (the simulation stays deterministic).
-func (tb *Testbed) MigrateAll(p *sim.Proc, reqs []MigrationRequest, pol sched.Policy) *metrics.Campaign {
-	return tb.MigrateAllRetry(p, reqs, pol, sched.Retry{})
-}
-
-// MigrateAllRetry is MigrateAll with a retry budget: fault-aborted
+// identical campaigns (the simulation stays deterministic). Fault-aborted
 // migrations back off and rejoin the admission queue until they complete or
-// exhaust retry.MaxAttempts. Instances whose budget runs out are marked
-// Exhausted and left running at their source.
-func (tb *Testbed) MigrateAllRetry(p *sim.Proc, reqs []MigrationRequest, pol sched.Policy, retry sched.Retry) *metrics.Campaign {
+// exhaust retry.MaxAttempts (the zero Retry allows one attempt). Instances
+// whose budget runs out are marked Exhausted and left running at their
+// source.
+func (tb *Testbed) MigrateAll(p *sim.Proc, reqs []MigrationRequest, pol sched.Policy, retry sched.Retry) *metrics.Campaign {
 	jobs := make([]sched.Job, len(reqs))
 	for i, r := range reqs {
 		r := r
@@ -413,7 +405,7 @@ func (tb *Testbed) MigrateAllRetry(p *sim.Proc, reqs []MigrationRequest, pol sch
 	o := sched.New(tb.Eng, tb.Cl.Net)
 	o.Trace = tb.bus
 	sb0 := tb.leases.SplitBrainWindows()
-	c := o.RunRetry(p, jobs, pol, retry)
+	c := o.Run(p, jobs, pol, retry)
 	c.SplitBrainWindows = tb.leases.SplitBrainWindows() - sb0
 	for i, st := range c.JobStats {
 		if st.Exhausted {

@@ -226,7 +226,7 @@ func TestMigrateAllCampaign(t *testing.T) {
 	var c *metrics.Campaign
 	tb.Eng.Go("orch", func(p *sim.Proc) {
 		p.Sleep(1)
-		c = tb.MigrateAll(p, reqs, sched.Serial{})
+		c = tb.MigrateAll(p, reqs, sched.Serial{}, sched.Retry{})
 	})
 	if err := tb.Eng.RunUntil(1e6); err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestMigrateAllRetryCompletesCampaign(t *testing.T) {
 	}
 	var c *metrics.Campaign
 	tb.Eng.Go("campaign", func(p *sim.Proc) {
-		c = tb.MigrateAllRetry(p,
+		c = tb.MigrateAll(p,
 			[]MigrationRequest{{Inst: a, DstIdx: 2}, {Inst: b, DstIdx: 3}},
 			sched.Serial{}, sched.Retry{MaxAttempts: 3, Backoff: 0.5})
 	})

@@ -71,46 +71,12 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// Options tunes the migration manager. The zero value is not useful; start
+// Options tunes the migration manager: the params.Manager tuning plus the
+// mode and the trace sink of one image. The zero value is not useful; start
 // from DefaultOptions.
 type Options struct {
+	params.Manager
 	Mode Mode
-	// Threshold is the write-count cutoff of Algorithm 1. Chunks written at
-	// least this many times during migration stop being pushed.
-	Threshold uint32
-	// PushBatch and PullBatch bound how many chunks ride in one streamed
-	// transfer.
-	PushBatch int
-	PullBatch int
-	// PullPriority orders the destination prefetch by decreasing write
-	// count; disabling it (ablation) pulls in ascending chunk order.
-	PullPriority bool
-	// PullRequestLatency is the per-request service overhead of a pull
-	// (FUSE round trip plus source-side request handling): pulls are
-	// request/response while pushes stream, which is what makes the push
-	// phase cheaper per byte (Section 5.3's our-approach vs postcopy gap).
-	PullRequestLatency float64
-	// BasePrefetch enables hint-driven prefetch of hot base-image content
-	// from the repository after control transfer.
-	BasePrefetch bool
-	// Preseeded starts every side with the full base image already on its
-	// local disk (pre-staged image replicas): the source never fetches
-	// from the repository, and a migration's destination only owes the
-	// source the modified chunks. See params.Manager.Preseeded.
-	Preseeded bool
-	// BasePrefetchRate caps that prefetch in bytes/s (0 = uncapped).
-	BasePrefetchRate float64
-	// Dedup skips the body of pushed/pulled chunks whose content the
-	// destination already holds (paper §6 future work).
-	Dedup bool
-	// DedupHashBytes is the wire cost of advertising a chunk hash.
-	DedupHashBytes int64
-	// CompressionRatio scales transferred storage bytes (0 or 1 disables;
-	// e.g. 0.6 sends 60% of the payload). Paper §6 / [24].
-	CompressionRatio float64
-	// CompressBW is the CPU compression throughput charged when compression
-	// is on.
-	CompressBW float64
 	// Trace, when non-nil, receives the manager's migration phase
 	// transitions (trace.KindPhase events: "push"/"mirror"/"passive",
 	// "control-transfer", "released").
@@ -118,21 +84,14 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper-default manager configuration for the
-// given mode, taking tunables from params.
+// given mode.
 func DefaultOptions(mode Mode) Options {
-	m := params.DefaultManager()
-	return Options{
-		Mode:               mode,
-		Threshold:          m.Threshold,
-		PushBatch:          m.PushBatch,
-		PullBatch:          m.PullBatch,
-		PullPriority:       true,
-		PullRequestLatency: m.PullRequestLatency,
-		BasePrefetch:       m.BasePrefetch,
-		BasePrefetchRate:   m.BasePrefetchRate,
-		DedupHashBytes:     1024,
-	}
+	return Options{Manager: params.DefaultManager(), Mode: mode}
 }
+
+// dedupHashBytes is the wire cost of advertising a chunk hash when Dedup
+// is on.
+const dedupHashBytes = 1024
 
 // Stats exposes what the experiments measure.
 type Stats struct {

@@ -215,7 +215,7 @@ func (im *Image) wireBytes(p *sim.Proc, batch []chunk.Idx, snapshot []uint64) fl
 		if im.opts.Dedup {
 			if im.known[snapshot[i]] {
 				im.stats.DedupHits++
-				payload += float64(im.opts.DedupHashBytes)
+				payload += dedupHashBytes
 				continue
 			}
 			im.known[snapshot[i]] = true // in transit: later duplicates dedup

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
-	"github.com/hybridmig/hybridmig/internal/core"
 	"github.com/hybridmig/hybridmig/internal/metrics"
 	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/scenario"
@@ -22,24 +21,30 @@ type AblationRow struct {
 	DedupHits     int     `json:"dedup_hits"`
 }
 
-// runAblation runs the IOR migration scenario with modified manager options.
-func runAblation(s Scale, label string, mutate func(*core.Options), mutateSetup func(*Setup)) AblationRow {
+// ablationScenario is the IOR migration scenario every ablation measures:
+// one our-approach VM on the 10-node setup, migrated to node 1 after the
+// warm-up. mutate changes the setup first (its Cluster.Manager holds every
+// manager tunable).
+func ablationScenario(s Scale, mutate func(*Setup)) *scenario.Scenario {
 	set := NewSetup(s, 10)
-	opts := core.DefaultOptions(core.ModeHybrid)
-	opts.Threshold = set.Cluster.Manager.Threshold
-	mutate(&opts)
-	set.Cluster.ManagerOverride = &opts
-	if mutateSetup != nil {
-		mutateSetup(&set)
-	}
-	sc := scenario.New(scenario.WithConfig(set.Cluster)).
+	mutate(&set)
+	return scenario.New(scenario.WithConfig(set.Cluster)).
 		AddVM(scenario.VMSpec{Name: "vm0", Node: 0, Approach: cluster.OurApproach,
 			Workload: scenario.IOR(&set.IOR)}).
 		MigrateAt("vm0", 1, set.Warmup)
-	res, err := sc.Run()
+}
+
+// runAblation runs the ablation scenario with a modified setup.
+func runAblation(s Scale, label string, mutate func(*Setup)) AblationRow {
+	res, err := ablationScenario(s, mutate).Run()
 	if err != nil {
 		panic("experiments: ablation failed: " + label + ": " + err.Error())
 	}
+	return ablationRow(label, res)
+}
+
+// ablationRow reads one ablation row off a finished ablation scenario.
+func ablationRow(label string, res *scenario.Result) AblationRow {
 	vm := res.VMs[0]
 	if !vm.Migrated {
 		panic("experiments: ablation migration incomplete: " + label)
@@ -67,7 +72,7 @@ func AblateThreshold(s Scale) []AblationRow {
 			label = "threshold=inf"
 		}
 		th := th
-		rows = append(rows, runAblation(s, label, func(o *core.Options) { o.Threshold = th }, nil))
+		rows = append(rows, runAblation(s, label, func(set *Setup) { set.Cluster.Manager.Threshold = th }))
 	}
 	return rows
 }
@@ -76,16 +81,16 @@ func AblateThreshold(s Scale) []AblationRow {
 // ascending-order pull.
 func AblatePullPriority(s Scale) []AblationRow {
 	return []AblationRow{
-		runAblation(s, "priority=write-count", func(o *core.Options) { o.PullPriority = true }, nil),
-		runAblation(s, "priority=fifo", func(o *core.Options) { o.PullPriority = false }, nil),
+		runAblation(s, "priority=write-count", func(set *Setup) { set.Cluster.Manager.PullPriority = true }),
+		runAblation(s, "priority=fifo", func(set *Setup) { set.Cluster.Manager.PullPriority = false }),
 	}
 }
 
 // AblateBasePrefetch compares hint-driven base-image prefetch on and off.
 func AblateBasePrefetch(s Scale) []AblationRow {
 	return []AblationRow{
-		runAblation(s, "base-prefetch=on", func(o *core.Options) { o.BasePrefetch = true }, nil),
-		runAblation(s, "base-prefetch=off", func(o *core.Options) { o.BasePrefetch = false }, nil),
+		runAblation(s, "base-prefetch=on", func(set *Setup) { set.Cluster.Manager.BasePrefetch = true }),
+		runAblation(s, "base-prefetch=off", func(set *Setup) { set.Cluster.Manager.BasePrefetch = false }),
 	}
 }
 
@@ -96,7 +101,6 @@ func AblateStripeSize(s Scale) []AblationRow {
 	for _, ss := range []int64{64 * params.KB, 256 * params.KB, 1 * params.MB} {
 		ss := ss
 		rows = append(rows, runAblation(s, fmt.Sprintf("stripe=%dKB", ss/params.KB),
-			func(o *core.Options) {},
 			func(set *Setup) {
 				set.Cluster.Repo.StripeSize = ss
 				// Chunk size tracks stripe size: the manager requires them
@@ -111,8 +115,8 @@ func AblateStripeSize(s Scale) []AblationRow {
 // work) against plain transfers.
 func AblateDedup(s Scale) []AblationRow {
 	return []AblationRow{
-		runAblation(s, "dedup=off", func(o *core.Options) { o.Dedup = false }, nil),
-		runAblation(s, "dedup=on", func(o *core.Options) { o.Dedup = true }, nil),
+		runAblation(s, "dedup=off", func(set *Setup) { set.Cluster.Manager.Dedup = false }),
+		runAblation(s, "dedup=on", func(set *Setup) { set.Cluster.Manager.Dedup = true }),
 	}
 }
 
@@ -125,10 +129,10 @@ func AblateCompression(s Scale) []AblationRow {
 		if ratio > 0 {
 			label = fmt.Sprintf("compression=%.0f%%", ratio*100)
 		}
-		rows = append(rows, runAblation(s, label, func(o *core.Options) {
-			o.CompressionRatio = ratio
-			o.CompressBW = 400 * params.MB
-		}, nil))
+		rows = append(rows, runAblation(s, label, func(set *Setup) {
+			set.Cluster.Manager.CompressionRatio = ratio
+			set.Cluster.Manager.CompressBW = 400 * params.MB
+		}))
 	}
 	return rows
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
+	"github.com/hybridmig/hybridmig/internal/scenario"
 )
 
 // fig3At finds one row.
@@ -186,6 +188,33 @@ func TestAblateDedupReducesTraffic(t *testing.T) {
 	}
 	if on.TrafficMB >= off.TrafficMB {
 		t.Errorf("dedup traffic %v MB >= plain %v MB", on.TrafficMB, off.TrafficMB)
+	}
+}
+
+// TestAblationBaselineIsDefaultRun pins params.Manager as the manager's only
+// configuration: an ablation that changes nothing runs exactly the scenario
+// built from the unmodified default setup, down to the resolved cluster
+// configuration and every VM and migration field.
+func TestAblationBaselineIsDefaultRun(t *testing.T) {
+	got, err := ablationScenario(ScaleSmall, func(*Setup) {}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewSetup(ScaleSmall, 10)
+	want, err := scenario.New(scenario.WithScale(ScaleSmall), scenario.WithNodes(10)).
+		AddVM(scenario.VMSpec{Name: "vm0", Node: 0, Approach: cluster.OurApproach,
+			Workload: scenario.IOR(&set.IOR)}).
+		MigrateAt("vm0", 1, set.Warmup).
+		Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("baseline ablation run differs from the default run:\n got %+v\nwant %+v", got, want)
+	}
+	row := runAblation(ScaleSmall, "baseline", func(*Setup) {})
+	if wantRow := ablationRow("baseline", want); row != wantRow {
+		t.Fatalf("baseline ablation row = %+v, want %+v", row, wantRow)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
-// The churn scenario bodies live in internal/benchscen so cmd/benchreport
-// measures exactly what these benchmarks measure.
+// The churn scenario bodies live in internal/benchscen so the benchmark
+// module's flow.churn_* probes measure exactly what these benchmarks measure.
 
 func BenchmarkRecomputeDisjoint(b *testing.B) {
 	for _, flows := range []int{10, 100, 1000} {

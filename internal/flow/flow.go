@@ -1216,27 +1216,8 @@ func (n *Net) recomputeComponent() {
 	}
 	// Apply the new allocation: settle elapsed time at the old rate and
 	// reproject the completion for every flow whose rate actually changed.
-	// Heap repair strategy: one O(n) heapify beats O(k log n) individual
-	// fixes once a fill moves most of the heap (a saturated shared link
-	// reshares every crossing flow at once); otherwise each flow is fixed
-	// IMMEDIATELY after its key changes — sequential fixes are only sound
-	// while at most one key is stale at a time. The pop order is a total
-	// order on (compT, seq), so either repair yields identical sweeps.
-	changed := 0
-	for _, f := range n.compFlows {
-		if f.group == nil && f.rate != f.prevRate {
-			changed++
-		}
-	}
-	for _, g := range n.compGroups {
-		if len(g.members) > 0 && g.fillRate != g.rate {
-			changed++ // one heap key per group: the representative's
-		}
-	}
-	if changed == 0 {
-		return
-	}
-	rebuild := changed*4 >= len(n.compHeap)
+	// Each key is heap-fixed IMMEDIATELY after it changes: sequential fixes
+	// are only sound while at most one key is stale at a time.
 	now := n.eng.Now()
 	for _, f := range n.compFlows {
 		if f.group != nil || f.rate == f.prevRate {
@@ -1250,9 +1231,7 @@ func (n *Net) recomputeComponent() {
 		} else {
 			f.compT = math.Inf(1)
 		}
-		if !rebuild {
-			n.heapFix(f)
-		}
+		n.heapFix(f)
 	}
 	for _, g := range n.compGroups {
 		if len(g.members) == 0 || g.fillRate == g.rate {
@@ -1269,14 +1248,7 @@ func (n *Net) recomputeComponent() {
 		}
 		rep := g.members[0]
 		rep.compT = g.timeFor(rep.finishP)
-		if !rebuild {
-			n.heapFix(rep)
-		}
-	}
-	if rebuild {
-		for i := len(n.compHeap)/2 - 1; i >= 0; i-- {
-			n.heapDown(i)
-		}
+		n.heapFix(rep)
 	}
 }
 

@@ -569,11 +569,12 @@ func checkCompletionHeap(t *testing.T, n *Net) {
 }
 
 // TestCompletionHeapInvariantProperty drives random churn — clumps of flows
-// sharing links (so one recompute changes many completion keys at once)
-// against a disjoint background population (so the partial-repair path runs)
-// — and asserts the heap invariant after every operation. This pins the
-// repair strategy in recomputeComponent: repositioning flows one at a time
-// is only sound if each key is fixed before the next one changes.
+// sharing links, many of them capped loose flows (a cap keeps a flow out of
+// any rate group, so one fill re-keys most of the heap at once), against a
+// disjoint background population — and asserts the heap invariant after
+// every operation. This pins the repair in recomputeComponent: each changed
+// key is fixed immediately, which is only sound if it is fixed before the
+// next one changes.
 func TestCompletionHeapInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -585,7 +586,16 @@ func TestCompletionHeapInvariantProperty(t *testing.T) {
 			n.Start(&Flow{Links: []*Link{l}, Size: 1e7 + rng.Float64()*1e9})
 		}
 		shared := []*Link{NewLink("s1", 120), NewLink("s2", 80)}
+		// Caps straddle the shared links' fair shares, so every reshare
+		// moves the keys of the flows capped above the new share.
+		capRate := func() float64 { return 2 + rng.Float64()*60 }
 		var live []*Flow
+		for i := 0; i < 16; i++ {
+			fl := &Flow{Links: []*Link{shared[i%2]}, Size: 1e6 + rng.Float64()*1e8, MaxRate: capRate()}
+			n.Start(fl)
+			live = append(live, fl)
+		}
+		checkCompletionHeap(t, n)
 		for op := 0; op < 60; op++ {
 			if err := e.RunUntil(e.Now() + rng.Float64()*0.5); err != nil {
 				t.Fatal(err)
@@ -597,6 +607,9 @@ func TestCompletionHeapInvariantProperty(t *testing.T) {
 				}
 				if rng.Intn(4) == 0 {
 					fl.Links = append(fl.Links, shared[rng.Intn(2)])
+				}
+				if rng.Intn(2) == 0 {
+					fl.MaxRate = capRate()
 				}
 				n.Start(fl)
 				live = append(live, fl)

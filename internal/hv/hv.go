@@ -91,24 +91,15 @@ func (a *Abort) Aborted() bool { return a != nil && a.aborted }
 // baseline keeps the VM live (with writes mirrored) until the bulk copy
 // completes, so the hypervisor idles in extra rounds instead of freezing the
 // guest (Haselhorst et al.'s full-synchronization-before-control rule).
-func Migrate(p *sim.Proc, cl *fabric.Cluster, v *vm.VM, dst *fabric.Node, hp params.Hypervisor, bm BlockMigrator, stopGate *sim.Gate) Result {
-	return MigrateTraced(p, cl, v, dst, hp, bm, stopGate, nil)
-}
-
-// MigrateTraced is Migrate with an observer bus: the start of every pre-copy
-// round is published as a trace.KindRound event (round number and payload
-// bytes). A nil bus is valid and traces nothing.
-func MigrateTraced(p *sim.Proc, cl *fabric.Cluster, v *vm.VM, dst *fabric.Node, hp params.Hypervisor, bm BlockMigrator, stopGate *sim.Gate, bus *trace.Bus) Result {
-	return MigrateAbortable(p, cl, v, dst, hp, bm, stopGate, bus, nil)
-}
-
-// MigrateAbortable is MigrateTraced with a fault-injection handle: when ab
-// is triggered mid-migration the in-flight transfer is canceled and the
-// migration unwinds with Result.Aborted set, leaving the VM running at the
-// source. Byte counters then report what actually crossed the wire before
-// the abort (the wasted traffic of the attempt). A nil ab disables aborts
-// and is byte-for-byte the untraced path.
-func MigrateAbortable(p *sim.Proc, cl *fabric.Cluster, v *vm.VM, dst *fabric.Node, hp params.Hypervisor, bm BlockMigrator, stopGate *sim.Gate, bus *trace.Bus, ab *Abort) Result {
+//
+// The start of every pre-copy round is published on bus as a
+// trace.KindRound event (round number and payload bytes); a nil bus traces
+// nothing. When the fault-injection handle ab is triggered mid-migration the
+// in-flight transfer is canceled and the migration unwinds with
+// Result.Aborted set, leaving the VM running at the source. Byte counters
+// then report what actually crossed the wire before the abort (the wasted
+// traffic of the attempt). A nil ab disables aborts.
+func Migrate(p *sim.Proc, cl *fabric.Cluster, v *vm.VM, dst *fabric.Node, hp params.Hypervisor, bm BlockMigrator, stopGate *sim.Gate, bus *trace.Bus, ab *Abort) Result {
 	eng := cl.Eng
 	src := v.Node
 	res := Result{Requested: eng.Now()}

@@ -70,7 +70,7 @@ func TestMemoryOnlyMigrationConverges(t *testing.T) {
 	r.v.Mem.Alloc(64*mb, true)
 	var res Result
 	r.eng.Go("mig", func(p *sim.Proc) {
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestDirtyingExtendsRounds(t *testing.T) {
 	d.SetActive(true, 0)
 	var res Result
 	r.eng.Go("mig", func(p *sim.Proc) {
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestNonConvergenceHitsRoundCap(t *testing.T) {
 	h.MaxRounds = 6
 	var res Result
 	r.eng.Go("mig", func(p *sim.Proc) {
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], h, nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], h, nil, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestDowntimeRespectsBudgetWhenConverged(t *testing.T) {
 	d.SetActive(true, 0)
 	var res Result
 	r.eng.Go("mig", func(p *sim.Proc) {
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestGuestPausedExactlyDuringDowntime(t *testing.T) {
 	r.v.Mem.Alloc(64*mb, true)
 	var res Result
 	r.eng.Go("mig", func(p *sim.Proc) {
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestBlockMigrationMovesAllocatedChunks(t *testing.T) {
 	var res Result
 	r.eng.Go("driver", func(p *sim.Proc) {
 		im.Write(p, 0, 64*mb) // allocate 64 MB locally
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), im, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), im, nil, nil, nil)
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestBlockMigrationRetransfersDirtyBlocks(t *testing.T) {
 				wp.Sleep(0.2)
 			}
 		})
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), im, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), im, nil, nil, nil)
 		done = true
 	})
 	if err := r.eng.Run(); err != nil {
@@ -317,7 +317,7 @@ func TestSharedImageMigrationIsMemoryOnly(t *testing.T) {
 	var res Result
 	r.eng.Go("driver", func(p *sim.Proc) {
 		im.Write(p, 0, 32*mb)
-		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil)
+		res = Migrate(p, r.cl, r.v, r.cl.Nodes[1], hp(), nil, nil, nil, nil)
 		im.MoveTo(r.v.Node)
 	})
 	if err := r.eng.Run(); err != nil {

@@ -152,7 +152,8 @@ type Manager struct {
 	PullBatch int
 	// PullRequestLatency is the per-request service overhead of a pull:
 	// FUSE round trip plus request handling at the source. Pulls are
-	// request/response; pushes stream.
+	// request/response while pushes stream, which is what makes the push
+	// phase cheaper per byte (Section 5.3's our-approach vs postcopy gap).
 	PullRequestLatency float64
 	// BasePrefetch enables prefetching hot base-image content on the
 	// destination using hints from the source (Section 4.1).
@@ -168,6 +169,18 @@ type Manager struct {
 	// migrations of distinct node pairs fully independent of each other
 	// (the parallel scenario kernel shards on it).
 	Preseeded bool
+	// PullPriority orders the destination prefetch by decreasing write
+	// count; disabling it (ablation) pulls in ascending chunk order.
+	PullPriority bool
+	// Dedup skips the body of pushed/pulled chunks whose content the
+	// destination already holds (paper §6 future work; ablation only).
+	Dedup bool
+	// CompressionRatio scales transferred storage bytes (0 or 1 disables;
+	// e.g. 0.6 sends 60% of the payload). Paper §6 / [24]; ablation only.
+	CompressionRatio float64
+	// CompressBW is the CPU compression throughput charged when compression
+	// is on (bytes/s).
+	CompressBW float64
 }
 
 // DefaultManager returns the default migration-manager tuning.
@@ -179,6 +192,7 @@ func DefaultManager() Manager {
 		PullRequestLatency: 0.008,
 		BasePrefetch:       true,
 		BasePrefetchRate:   40 * MB,
+		PullPriority:       true,
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -265,6 +266,68 @@ func TestFaultValidation(t *testing.T) {
 		if res != nil {
 			t.Errorf("%s: validation failure returned a result", c.name)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN and ±Inf in any float field of the spec
+// fail validation. Ordered comparisons are false for NaN, so without an
+// explicit check such a spec would pass and then crash Run (an invalid link
+// capacity, an event at a non-finite time, a panicking traffic process).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	set := NewSetup(ScaleSmall, 4)
+	vm := VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach}
+	build := func(opts ...Option) *Scenario {
+		return New(append([]Option{WithConfig(set.Cluster)}, opts...)...).AddVM(vm).MigrateAt("a", 1, 1)
+	}
+	degrade := func(f FaultSpec) Option {
+		f.Kind, f.Node = FaultLinkDegrade, 1
+		return WithFaults(f)
+	}
+	traffic := func(tr TrafficSpec) Option {
+		tr.Src, tr.Dst = 0, 1
+		return WithBackgroundTraffic(tr)
+	}
+	cases := []struct {
+		name string
+		s    *Scenario
+	}{
+		{"horizon NaN", build(WithHorizon(nan))},
+		{"horizon +Inf", build(WithHorizon(inf))},
+		{"sample interval +Inf", build(WithSampleInterval(inf))},
+		{"migration at NaN", New(WithConfig(set.Cluster)).AddVM(vm).MigrateAt("a", 1, nan)},
+		{"campaign at NaN", New(WithConfig(set.Cluster)).AddVM(vm).
+			Campaign(nan, sched.Serial{}, Step{VM: "a", Dst: 1})},
+		{"dest-crash at NaN", build(WithFaults(FaultSpec{Kind: FaultDestCrash, VM: "a", At: nan}))},
+		{"degrade factor NaN", build(degrade(FaultSpec{At: 5, Factor: nan, Duration: 2}))},
+		{"degrade duration NaN", build(degrade(FaultSpec{At: 5, Factor: 0.5, Duration: nan}))},
+		{"degrade duration +Inf", build(degrade(FaultSpec{At: 5, Factor: 0.5, Duration: inf}))},
+		{"partition duration NaN", build(WithFaults(FaultSpec{Kind: FaultPartition, Node: 1, At: 5, Duration: nan}))},
+		{"traffic start NaN", build(traffic(TrafficSpec{Start: nan, Stop: 5}))},
+		{"traffic stop +Inf", build(traffic(TrafficSpec{Start: 0, Stop: inf}))},
+		{"traffic rate +Inf", build(traffic(TrafficSpec{Start: 0, Stop: 5, Rate: inf}))},
+		{"traffic burst NaN", build(traffic(TrafficSpec{Start: 0, Stop: 5, Burst: nan}))},
+		{"retry backoff NaN", build(WithRetry(RetrySpec{MaxAttempts: 2, Backoff: nan}))},
+		{"retry factor +Inf", build(WithRetry(RetrySpec{MaxAttempts: 2, Backoff: 1, Factor: inf}))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("Run panicked: %v", v)
+				}
+			}()
+			if err := c.s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Errorf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			res, err := c.s.Run()
+			if !errors.Is(err, ErrInvalidScenario) {
+				t.Errorf("Run error = %v, want ErrInvalidScenario", err)
+			}
+			if res != nil {
+				t.Errorf("validation failure returned a result")
+			}
+		})
 	}
 }
 

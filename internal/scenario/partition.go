@@ -80,11 +80,7 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 			return nil
 		}
 	}
-	preseeded := cfg.Manager.Preseeded
-	if cfg.ManagerOverride != nil {
-		preseeded = cfg.ManagerOverride.Preseeded
-	}
-	if !preseeded {
+	if !cfg.Manager.Preseeded {
 		return nil
 	}
 	// Partition faults couple every shard through the attachment manager:

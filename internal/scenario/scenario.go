@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
 	"github.com/hybridmig/hybridmig/internal/fabric"
@@ -60,6 +61,9 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 func invalidf(format string, args ...any) error {
 	return fmt.Errorf("scenario: "+format+": %w", append(args, ErrInvalidScenario)...)
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WorkloadKind names a guest workload family.
 type WorkloadKind int
@@ -251,7 +255,7 @@ func WithNodes(n int) Option { return func(o *options) { o.nodes = n } }
 
 // WithConfig supplies a complete cluster configuration, overriding the
 // testbed WithScale/WithNodes would build. This is the ablation hook:
-// everything down to the manager options override is reachable through it.
+// every manager tunable (cfg.Manager) is reachable through it.
 // Nil workload parameters still resolve from WithScale — pass a matching
 // scale (or explicit parameters) alongside a non-default configuration.
 func WithConfig(cfg cluster.Config) Option { return func(o *options) { o.config = &cfg } }
@@ -428,6 +432,14 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if len(s.vms) == 0 {
 		return zero, Setup{}, nil, invalidf("no VMs declared")
 	}
+	// Every float of the spec must be finite: NaN slips through the ordered
+	// comparisons below and would only surface as a panic inside Run.
+	if !finite(s.opt.horizon) || s.opt.horizon <= 0 {
+		return zero, Setup{}, nil, invalidf("horizon %g is not a finite positive time", s.opt.horizon)
+	}
+	if !finite(s.opt.sampleEvery) {
+		return zero, Setup{}, nil, invalidf("sample interval %g is not finite", s.opt.sampleEvery)
+	}
 	for i, v := range s.vms {
 		if v.Name == "" {
 			return zero, Setup{}, nil, invalidf("VM %d has no name", i)
@@ -467,6 +479,9 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	// past it could never run, and a degradation that restores after the
 	// horizon would leave the run undrainable.
 	checkTime := func(what string, at float64) error {
+		if !finite(at) {
+			return invalidf("%s at non-finite time %g", what, at)
+		}
 		if at < 0 {
 			return invalidf("%s at negative time %g", what, at)
 		}
@@ -512,10 +527,10 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 			if f.Kind == FaultLinkDegrade && f.Node < 0 {
 				return zero, Setup{}, nil, invalidf("fault %d (%s) targets negative node %d", fi, f.Kind, f.Node)
 			}
-			if f.Factor < 0 || f.Factor > 1 {
+			if !(f.Factor >= 0 && f.Factor <= 1) {
 				return zero, Setup{}, nil, invalidf("fault %d (%s) factor %g outside [0,1]", fi, f.Kind, f.Factor)
 			}
-			if f.Duration <= 0 {
+			if !(f.Duration > 0) {
 				return zero, Setup{}, nil, invalidf("fault %d (%s) needs a positive duration", fi, f.Kind)
 			}
 			if err := checkTime(fmt.Sprintf("fault %d (%s) restore", fi, f.Kind), f.At+f.Duration); err != nil {
@@ -525,7 +540,7 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 			if f.Node < 0 {
 				return zero, Setup{}, nil, invalidf("fault %d (%s) targets negative node %d", fi, f.Kind, f.Node)
 			}
-			if f.Duration <= 0 {
+			if !(f.Duration > 0) {
 				return zero, Setup{}, nil, invalidf("fault %d (%s) needs a positive duration", fi, f.Kind)
 			}
 			if err := checkTime(fmt.Sprintf("fault %d (%s) heal", fi, f.Kind), f.At+f.Duration); err != nil {
@@ -572,8 +587,8 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 		if tr.Src == tr.Dst {
 			return zero, Setup{}, nil, invalidf("traffic %d needs distinct nodes (got %d->%d)", ti, tr.Src, tr.Dst)
 		}
-		if tr.Rate < 0 || tr.Burst < 0 {
-			return zero, Setup{}, nil, invalidf("traffic %d has negative rate or burst", ti)
+		if tr.Rate < 0 || tr.Burst < 0 || !finite(tr.Rate) || !finite(tr.Burst) {
+			return zero, Setup{}, nil, invalidf("traffic %d has negative rate or burst, or a non-finite one", ti)
 		}
 		if err := checkTime(fmt.Sprintf("traffic %d start", ti), tr.Start); err != nil {
 			return zero, Setup{}, nil, err
@@ -585,8 +600,8 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 			return zero, Setup{}, nil, err
 		}
 	}
-	if r := s.opt.retry; r.MaxAttempts < 0 || r.Backoff < 0 || r.Factor < 0 {
-		return zero, Setup{}, nil, invalidf("retry spec has negative fields")
+	if r := s.opt.retry; r.MaxAttempts < 0 || r.Backoff < 0 || r.Factor < 0 || !finite(r.Backoff) || !finite(r.Factor) {
+		return zero, Setup{}, nil, invalidf("retry spec has negative or non-finite fields")
 	}
 	if s.opt.cm1 != nil {
 		if s.opt.cm1.GridX*s.opt.cm1.GridY != s.opt.cm1.Procs {
@@ -610,19 +625,9 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	}
 	if s.opt.threshold != nil {
 		cfg.Manager.Threshold = *s.opt.threshold
-		if cfg.ManagerOverride != nil {
-			o := *cfg.ManagerOverride
-			o.Threshold = *s.opt.threshold
-			cfg.ManagerOverride = &o
-		}
 	}
 	if s.opt.preseed {
 		cfg.Manager.Preseeded = true
-		if cfg.ManagerOverride != nil {
-			o := *cfg.ManagerOverride
-			o.Preseeded = true
-			cfg.ManagerOverride = &o
-		}
 	}
 	if top := s.maxNodeIndex(); top >= cfg.Nodes {
 		return zero, Setup{}, nil, invalidf("node index %d out of range (testbed has %d nodes)", top, cfg.Nodes)
@@ -804,7 +809,7 @@ func (s *Scenario) build(cfg cluster.Config, set Setup, byName map[string]int) *
 		}
 		eng.Go("orchestrator", func(p *sim.Proc) {
 			p.Sleep(c.At)
-			campaigns[ci] = tb.MigrateAllRetry(p, reqs, c.Policy, s.opt.retry)
+			campaigns[ci] = tb.MigrateAll(p, reqs, c.Policy, s.opt.retry)
 		})
 	}
 

@@ -186,19 +186,13 @@ func New(eng *sim.Engine, net *flow.Net) *Orchestrator {
 
 // Run executes the campaign under the policy and blocks until every job has
 // completed. Jobs are admitted in submission order (FIFO), so identical
-// inputs produce identical campaigns. Aborted jobs are terminal (no
-// retries); use RunRetry for a retry budget.
-func (o *Orchestrator) Run(p *sim.Proc, jobs []Job, pol Policy) *metrics.Campaign {
-	return o.RunRetry(p, jobs, pol, Retry{})
-}
-
-// RunRetry is Run with a retry budget: a job whose attempt returns an error
+// inputs produce identical campaigns. A job whose attempt returns an error
 // releases its admission slot, backs off, and rejoins the admission queue at
 // the back (re-admission is FIFO with everyone else, so campaigns stay
-// deterministic), until it completes or exhausts retry.MaxAttempts. Every
-// job therefore reaches a terminal state: completed, or exhausted with
-// JobStat.Exhausted set.
-func (o *Orchestrator) RunRetry(p *sim.Proc, jobs []Job, pol Policy, retry Retry) *metrics.Campaign {
+// deterministic), until it completes or exhausts retry.MaxAttempts; the zero
+// Retry makes aborted jobs terminal. Every job therefore reaches a terminal
+// state: completed, or exhausted with JobStat.Exhausted set.
+func (o *Orchestrator) Run(p *sim.Proc, jobs []Job, pol Policy, retry Retry) *metrics.Campaign {
 	eng := o.eng
 	c := &metrics.Campaign{
 		Policy:   pol.Name(),

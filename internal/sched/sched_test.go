@@ -25,7 +25,7 @@ func runCampaign(t *testing.T, n int, pol Policy, dur float64) *metrics.Campaign
 	}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).Run(p, jobs, pol)
+		c = New(eng, nil).Run(p, jobs, pol, Retry{})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestCycleAwareWaitsForWindow(t *testing.T) {
 	}}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).Run(p, jobs, CycleAware{Poll: 0.5})
+		c = New(eng, nil).Run(p, jobs, CycleAware{Poll: 0.5}, Retry{})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestCycleAwareDeferBudget(t *testing.T) {
 	}}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).Run(p, jobs, CycleAware{Poll: 0.5, MaxDefer: 3})
+		c = New(eng, nil).Run(p, jobs, CycleAware{Poll: 0.5, MaxDefer: 3}, Retry{})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCampaignTrafficAccounting(t *testing.T) {
 	}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, net).Run(p, jobs, AllAtOnce{})
+		c = New(eng, net).Run(p, jobs, AllAtOnce{}, Retry{})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestRetryCompletesAfterFailures(t *testing.T) {
 	jobs := []Job{flakyJob("flaky", 2, 1)}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).RunRetry(p, jobs, Serial{}, Retry{MaxAttempts: 5, Backoff: 2, Factor: 2})
+		c = New(eng, nil).Run(p, jobs, Serial{}, Retry{MaxAttempts: 5, Backoff: 2, Factor: 2})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	jobs := []Job{flakyJob("doomed", 99, 1), flakyJob("fine", 0, 1)}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).RunRetry(p, jobs, AllAtOnce{}, Retry{MaxAttempts: 3, Backoff: 1})
+		c = New(eng, nil).Run(p, jobs, AllAtOnce{}, Retry{MaxAttempts: 3, Backoff: 1})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestRetryReleasesSlotDuringBackoff(t *testing.T) {
 	jobs := []Job{flakyJob("flaky", 1, 1), flakyJob("ready", 0, 1)}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).RunRetry(p, jobs, Serial{}, Retry{MaxAttempts: 2, Backoff: 5})
+		c = New(eng, nil).Run(p, jobs, Serial{}, Retry{MaxAttempts: 2, Backoff: 5})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestRetryZeroBudgetIsTerminal(t *testing.T) {
 	jobs := []Job{flakyJob("fail", 1, 1)}
 	var c *metrics.Campaign
 	eng.Go("campaign", func(p *sim.Proc) {
-		c = New(eng, nil).Run(p, jobs, Serial{})
+		c = New(eng, nil).Run(p, jobs, Serial{}, Retry{})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

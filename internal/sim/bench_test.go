@@ -7,8 +7,9 @@ import (
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
-// The event-path scenario bodies live in internal/benchscen so
-// cmd/benchreport measures exactly what these benchmarks measure.
+// The event-path scenario bodies live in internal/benchscen so the
+// benchmark module's sim.* probes measure exactly what these benchmarks
+// measure.
 
 func BenchmarkAfterFire(b *testing.B) { benchscen.AfterFire(b) }
 

@@ -88,7 +88,7 @@ func (s *Managed) Image() *core.Image { return s.img }
 // MakeImage implements Instance: the manager view over the guest's cache.
 func (s *Managed) MakeImage(backing vm.DiskImage) vm.DiskImage {
 	s.img = core.NewImage(s.env.Eng, s.env.Cl, s.node, s.env.Geo, s.env.Base,
-		backing, s.env.ManagerOptions(s.mode), s.name)
+		backing, core.Options{Manager: s.env.Manager, Mode: s.mode, Trace: s.env.Bus}, s.name)
 	return s.img
 }
 
@@ -114,7 +114,7 @@ func (s *Managed) Migrate(m *Migration) Outcome {
 	if s.mode == core.ModeMirror {
 		stopGate = s.img.BulkDoneGate()
 	}
-	res := hv.MigrateAbortable(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, stopGate, s.env.Bus, m.Abort)
+	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, stopGate, s.env.Bus, m.Abort)
 	if res.Aborted {
 		// Fault before control transfer: the VM never left the source and
 		// the manager (aborted by the same fault) already rolled its

@@ -112,7 +112,7 @@ func (s *multiattach) Migrate(m *Migration) Outcome {
 		s.dst = datt
 		lm.BeginWindow(s.vol, s.onFence, s.onFailover)
 	}
-	res := hv.MigrateAbortable(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
+	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
 	if res.Aborted {
 		s.closeWindow(lm, false)
 		return Outcome{HV: res, Aborted: true, Fenced: s.fenced}

@@ -40,7 +40,7 @@ func (s *precopy) AttachGuest(g *guest.Guest) { s.gst = g }
 // control transfer (by then every allocated block has been re-created at the
 // destination).
 func (s *precopy) Migrate(m *Migration) Outcome {
-	res := hv.MigrateAbortable(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, s.img, nil, s.env.Bus, m.Abort)
+	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, s.img, nil, s.env.Bus, m.Abort)
 	if res.Aborted {
 		return Outcome{HV: res, Aborted: true}
 	}

@@ -97,7 +97,7 @@ func (s *shared) Migrate(m *Migration) Outcome {
 		lm.BeginWindow(s.vol, s.onFence, nil)
 		defer lm.EndWindow(s.vol)
 	}
-	res := hv.MigrateAbortable(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
+	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
 	if res.Aborted {
 		return Outcome{HV: res, Aborted: true, Fenced: s.fenced}
 	}

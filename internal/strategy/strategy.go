@@ -64,34 +64,6 @@ type Env struct {
 	// whose images live on shared storage route attach/detach and switchover
 	// authority through it (nil only in stripped-down unit tests).
 	Leases *lease.Manager
-	// ManagerOverride, when non-nil, replaces the manager options derived
-	// from Manager (the ablation hook; see cluster.Config).
-	ManagerOverride *core.Options
-}
-
-// ManagerOptions derives the migration-manager options for a mode from the
-// environment, honoring the ablation override.
-func (e Env) ManagerOptions(mode core.Mode) core.Options {
-	if e.ManagerOverride != nil {
-		o := *e.ManagerOverride
-		o.Mode = mode
-		o.Trace = e.Bus
-		return o
-	}
-	m := e.Manager
-	return core.Options{
-		Trace:              e.Bus,
-		Mode:               mode,
-		Threshold:          m.Threshold,
-		PushBatch:          m.PushBatch,
-		PullBatch:          m.PullBatch,
-		PullPriority:       true,
-		PullRequestLatency: m.PullRequestLatency,
-		BasePrefetch:       m.BasePrefetch,
-		BasePrefetchRate:   m.BasePrefetchRate,
-		Preseeded:          m.Preseeded,
-		DedupHashBytes:     1024,
-	}
 }
 
 // Migration is the middleware-provided context of one migration attempt.
