@@ -1,7 +1,8 @@
 // Package chunk provides chunk-granularity building blocks for the
 // migration manager: index arithmetic between byte ranges and chunk indices,
-// dense bitmap sets, per-chunk write counters, and a lazy-deletion priority
-// queue used by the prioritized prefetcher.
+// dense bitmap sets, per-chunk write counters, a lazy-deletion priority
+// queue used by the prioritized prefetcher, and paged content-ID arrays
+// (IDs) for files and images that are mostly never written.
 //
 // A virtual disk image of S bytes with chunk size C has ceil(S/C) chunks,
 // numbered from zero. All sets in this package are dense (bitmap-backed)

@@ -28,19 +28,67 @@ func BenchmarkRecomputeShared(b *testing.B) {
 	}
 }
 
+// BenchmarkRecomputeBurst starts a burst of flows at one instant, lets the
+// instant's flush fill their components, and cancels them.
+func BenchmarkRecomputeBurst(b *testing.B) { burstChurn(b) }
+
+// burstChurn is one op of BenchmarkRecomputeBurst: eight starts at one
+// instant into two components that stand 100 flows each — multi-link and
+// capped flows that stay loose, plus flows that join a rate group — then
+// the flush event, then eight cancels. It covers the multi-component flush
+// and its start-order settle.
+func burstChurn(b *testing.B) {
+	e := sim.New()
+	n := flow.NewNet(e)
+	x, y, z := flow.NewLink("x", 1e9), flow.NewLink("y", 1e9), flow.NewLink("z", 1e9)
+	for i := 0; i < 100; i++ {
+		n.Start(&flow.Flow{Links: []*flow.Link{x, y}, Size: 1e15})
+		n.Start(&flow.Flow{Links: []*flow.Link{z}, Size: 1e15})
+	}
+	paths := [][]*flow.Link{{x, y}, {x}, {z}, {y}}
+	burst := make([]*flow.Flow, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range burst {
+			f := n.AcquireFlow()
+			f.Links, f.Size = paths[j%len(paths)], 1e15
+			if j%3 == 0 {
+				f.MaxRate = 1e6
+			}
+			n.Start(f)
+			burst[j] = f
+		}
+		if err := e.RunUntil(e.Now()); err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range burst {
+			n.Cancel(f)
+			n.ReleaseFlow(f)
+		}
+	}
+	b.StopTimer()
+	e.Stop()
+}
+
 // TestFlowChurnZeroAllocs is the allocation guard for the churn hot path:
 // with the Net's flow free list in play, a start+cancel cycle against a
-// standing population must not allocate — in either link regime. A nonzero
-// AllocsPerOp here means something on the Start/Cancel/timer path regressed.
+// standing population must not allocate — in either link regime, nor for a
+// burst of starts flushed at one instant. A nonzero AllocsPerOp here means
+// something on the Start/flush/Cancel/timer path regressed.
 func TestFlowChurnZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed guard skipped in -short")
 	}
 	for _, tc := range []struct {
-		name   string
-		shared bool
-	}{{"disjoint", false}, {"shared", true}} {
-		r := testing.Benchmark(func(b *testing.B) { benchscen.FlowChurn(b, 100, tc.shared) })
+		name string
+		run  func(b *testing.B)
+	}{
+		{"disjoint", func(b *testing.B) { benchscen.FlowChurn(b, 100, false) }},
+		{"shared", func(b *testing.B) { benchscen.FlowChurn(b, 100, true) }},
+		{"burst", burstChurn},
+	} {
+		r := testing.Benchmark(tc.run)
 		if a := r.AllocsPerOp(); a != 0 {
 			t.Errorf("%s churn: %d allocs/op (%d B/op), want 0", tc.name, a, r.AllocedBytesPerOp())
 		}

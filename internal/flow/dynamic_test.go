@@ -169,6 +169,21 @@ func TestSetCapacityIdleLink(t *testing.T) {
 	}
 }
 
+// TestNewLinkInvalidPanics: NewLink rejects the capacities SetCapacity
+// rejects, NaN and ±Inf included.
+func TestNewLinkInvalidPanics(t *testing.T) {
+	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLink(%v) did not panic", c)
+				}
+			}()
+			NewLink("l", c)
+		}()
+	}
+}
+
 func TestSetCapacityInvalidPanics(t *testing.T) {
 	e := sim.New()
 	n := NewNet(e)

@@ -3,13 +3,16 @@
 //
 // A Flow is a bulk transfer of a known size that traverses an ordered set of
 // capacity Links (e.g. source NIC -> switch fabric -> destination NIC, or a
-// single disk link for local I/O). Whenever the set of active flows changes,
-// the package recomputes a max-min fair rate allocation by progressive
-// filling: repeatedly find the most constrained link, give every unfrozen
-// flow crossing it an equal share of that link's residual capacity, and
-// freeze those flows. Flows may additionally carry an individual rate cap
-// (application pacing, hypervisor migration speed limits), which is treated
-// as a private link.
+// single disk link for local I/O). The package keeps a max-min fair rate
+// allocation, computed by progressive filling: repeatedly find the most
+// constrained link, give every unfrozen flow crossing it an equal share of
+// that link's residual capacity, and freeze those flows. Flows may
+// additionally carry an individual rate cap (application pacing, hypervisor
+// migration speed limits), which is treated as a private link. The
+// allocation is recomputed whenever a flow completes or is canceled or a
+// capacity changes, and once per virtual instant for all the flows started
+// in it: a start defers its refill to a flush that runs before the clock
+// leaves the instant, or earlier if anything reads or mutates the net.
 //
 // This is the standard fluid approximation used by flow-level datacenter
 // simulators: it captures who saturates which resource and when, without
@@ -146,9 +149,10 @@ func (l *Link) transparent() bool {
 }
 
 // NewLink returns a link with the given name and capacity in bytes/second.
+// The capacity must be positive and finite, as for SetCapacity.
 func NewLink(name string, capacity float64) *Link {
-	if capacity <= 0 {
-		panic("flow: link capacity must be positive")
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		panic(fmt.Sprintf("flow: invalid capacity %v for link %s", capacity, name))
 	}
 	return &Link{Name: name, Capacity: capacity}
 }
@@ -162,6 +166,7 @@ func (l *Link) Bytes() float64 {
 		n = l.group.members[0].net
 	}
 	if n != nil {
+		n.flush()
 		for _, f := range l.flows {
 			n.settle(f, n.lastEvent)
 		}
@@ -290,6 +295,7 @@ func (f *Flow) ubFor(l *Link) float64 {
 // after any net activity at the current instant).
 func (f *Flow) Remaining() float64 {
 	if f.active {
+		f.net.flush()
 		f.net.settle(f, f.net.lastEvent)
 	}
 	return f.remaining
@@ -297,6 +303,9 @@ func (f *Flow) Remaining() float64 {
 
 // Rate returns the current allocated rate in bytes/s.
 func (f *Flow) Rate() float64 {
+	if f.active {
+		f.net.flush()
+	}
 	if f.group != nil {
 		return f.group.rate
 	}
@@ -339,14 +348,44 @@ type Net struct {
 
 	// free list for AcquireFlow/ReleaseFlow
 	free []*Flow
+
+	// Flows started at the current instant whose component fill waits for
+	// the instant's flush, in start order; flushTimer is the flush event.
+	pending    []*Flow
+	flushTimer sim.Timer
+	flushFn    func()
+	spans      []compSpan // per-component scratch of a flush
+
+	stats Stats
+}
+
+// compSpan delimits one component collected by reflow: its entries start
+// at these offsets into compFlows, compLinks and compGroups, it was
+// collected under epoch, and starts of the pending starts fell into it.
+type compSpan struct {
+	flows, links, groups int
+	epoch                uint64
+	starts               int
+}
+
+// Stats are exact work counters of a Net, always on.
+type Stats struct {
+	Starts    uint64 // flows activated by Start
+	Flushes   uint64 // per-instant flushes of deferred starts
+	Fills     uint64 // progressive fills over a collected component
+	Collected uint64 // loose flows plus rate groups filled, over all fills
 }
 
 // NewNet returns a flow network bound to the engine.
 func NewNet(eng *sim.Engine) *Net {
 	n := &Net{eng: eng}
 	n.sweepFn = n.completionSweep
+	n.flushFn = n.flush
 	return n
 }
+
+// Stats returns the net's work counters.
+func (n *Net) Stats() Stats { return n.stats }
 
 // Engine returns the simulation engine.
 func (n *Net) Engine() *sim.Engine { return n.eng }
@@ -652,6 +691,7 @@ func (n *Net) snapLink(l *Link) {
 // links (each flow's bytes are counted once, regardless of path length).
 // Counters are accurate as of the last net activity at the current instant.
 func (n *Net) BytesByTag(t Tag) float64 {
+	n.flush()
 	n.settleAll()
 	return n.byTag[t]
 }
@@ -659,6 +699,7 @@ func (n *Net) BytesByTag(t Tag) float64 {
 // TotalBytes returns bytes transferred across all tags, accurate as of the
 // last net activity at the current instant.
 func (n *Net) TotalBytes() float64 {
+	n.flush()
 	n.settleAll()
 	var s float64
 	for _, v := range n.byTag {
@@ -674,7 +715,9 @@ func (n *Net) CompletedFlows() uint64 { return n.completed }
 func (n *Net) ActiveFlows() int { return len(n.flows) }
 
 // Start activates a flow. Zero-size flows complete immediately (their OnDone
-// fires before Start returns). A flow must not be started twice.
+// fires before Start returns). A flow must not be started twice. The rates
+// of the flow's component are refilled by the instant's flush, which every
+// read of the net runs first.
 func (n *Net) Start(f *Flow) {
 	if f.net != nil {
 		panic("flow: flow started twice")
@@ -746,14 +789,94 @@ func (n *Net) Start(f *Flow) {
 		}
 		n.heapPush(f)
 	}
+	n.stats.Starts++
+	if len(n.pending) == 0 {
+		// The first start at this instant schedules the flush and disarms
+		// the sweep until the flush re-arms it: a sweep already armed for
+		// this instant would otherwise fire first and retire nearly-drained
+		// flows by the epsBytes rule before the new flows slow them down.
+		n.sweepTimer.Cancel()
+		n.flushTimer = n.eng.At(n.eng.Now(), n.flushFn)
+	}
+	n.pending = append(n.pending, f)
+}
+
+// flush runs the fill deferred by the starts at this instant, if any. The
+// flush event calls it before the clock leaves the instant, and so does
+// every read of rates or byte counts and every other mutation, so nothing
+// observes the allocation between a start and its fill.
+func (n *Net) flush() {
+	if len(n.pending) > 0 {
+		n.reflow()
+	}
+}
+
+// reflow fills each component that received a start at this instant once,
+// bit for bit as the last of those starts would have filled it on its own.
+// The pending starts are walked newest first, and each one not yet
+// collected seeds its component — as Start used to, so the BFS link order
+// and with it every float of the fill are the ones an eager fill at that
+// start saw — under a fresh epoch, appended to the scratch. Starts never
+// split a component, so no earlier start's fill can survive a later start
+// into the same component. The components are then filled one at a time,
+// the one with the oldest last start first: a single fill over their union
+// would couple them through the freeze tolerance. One start, or one
+// component, is the former eager path.
+func (n *Net) reflow() {
+	n.flushTimer.Cancel()
+	n.stats.Flushes++
 	n.resetComponent()
+	base := n.epoch
+	n.spans = n.spans[:0]
+	for i := len(n.pending) - 1; i >= 0; i-- {
+		f := n.pending[i]
+		if startMark(f) >= base {
+			continue
+		}
+		if len(n.spans) > 0 {
+			n.epoch++
+		}
+		sp := compSpan{flows: len(n.compFlows), links: len(n.compLinks), groups: len(n.compGroups), epoch: n.epoch}
+		n.spans = append(n.spans, sp)
+		n.seed(f)
+		n.expandFrom(sp.links)
+	}
+	// The k-th component was collected under epoch base+k.
+	for _, f := range n.pending {
+		n.spans[startMark(f)-base].starts++
+	}
+	nf, nl, ng := len(n.compFlows), len(n.compLinks), len(n.compGroups)
+	for k := len(n.spans) - 1; k >= 0; k-- {
+		sp := n.spans[k]
+		ef, el, eg := nf, nl, ng
+		if k+1 < len(n.spans) {
+			next := n.spans[k+1]
+			ef, el, eg = next.flows, next.links, next.groups
+		}
+		n.fillPending(n.compFlows[sp.flows:ef], n.compLinks[sp.links:el], n.compGroups[sp.groups:eg], sp)
+	}
+	clear(n.pending)
+	n.pending = n.pending[:0]
+	n.reschedule()
+}
+
+// seed adds a started flow's component seeds: the flow itself while it is
+// loose (a group member is reached through its group), then its links.
+func (n *Net) seed(f *Flow) {
 	if f.group == nil {
 		n.seedFlow(f)
 	}
 	n.seedLinks(f.Links)
-	n.expandComponent()
-	n.recomputeComponent()
-	n.reschedule()
+}
+
+// startMark is the stamp that shows a started flow's component collected:
+// the flow's own while it is loose, its group's while grouped, since group
+// members are collected through their group and stay unmarked.
+func startMark(f *Flow) uint64 {
+	if g := f.group; g != nil {
+		return g.mark
+	}
+	return f.mark
 }
 
 // Cancel removes an active flow before completion and returns the bytes that
@@ -763,6 +886,7 @@ func (n *Net) Cancel(f *Flow) float64 {
 	if !f.active {
 		return 0
 	}
+	n.flush()
 	n.lastEvent = n.eng.Now()
 	n.settle(f, n.lastEvent)
 	rem := f.remaining
@@ -796,6 +920,7 @@ func (n *Net) SetCapacity(l *Link, c float64) {
 	if c == l.Capacity {
 		return
 	}
+	n.flush()
 	n.lastEvent = n.eng.Now()
 	n.resetComponent()
 	// Force-seed the link itself: even a currently transparent link must have
@@ -1054,8 +1179,11 @@ func (n *Net) seedLinks(links []*Link) {
 // are collected as single units: a member's other links are all transparent,
 // so walking into a group's members can never reach new links — the group
 // joins compGroups and the members themselves stay out of compFlows.
-func (n *Net) expandComponent() {
-	for i := 0; i < len(n.compLinks); i++ {
+func (n *Net) expandComponent() { n.expandFrom(0) }
+
+// expandFrom is expandComponent with the work queue starting at compLinks[i].
+func (n *Net) expandFrom(i int) {
+	for ; i < len(n.compLinks); i++ {
 		l := n.compLinks[i]
 		if g := l.group; g != nil && len(g.members) > 0 && g.mark != n.epoch {
 			g.mark = n.epoch
@@ -1090,22 +1218,65 @@ func (n *Net) expandComponent() {
 }
 
 // recomputeComponent performs progressive-filling max-min fair allocation
-// over the collected component. Links are processed in first-occurrence
-// order and flows in (deterministic) component-discovery order; the freeze
-// SET per filling round is order-independent, so iteration order only
-// re-associates float accumulation, never changes the allocation. Flows
-// whose allocated rate is unchanged by the fill keep their lazy accounting
-// state untouched: no settle, no completion-heap update.
+// over the collected component and applies it in collection order.
 func (n *Net) recomputeComponent() {
-	if len(n.compFlows) == 0 && len(n.compGroups) == 0 {
+	if n.fill(n.compFlows, n.compLinks, n.compGroups) {
+		n.apply(n.compFlows, n.compGroups)
+	}
+}
+
+// fillPending fills one component collected by reflow. Byte settles add
+// into shared float counters, so their order must be the eager one: when
+// the component received two or more of the starts and two or more loose
+// flows changed rate, they are settled in BFS order from those starts,
+// taken in start order, as the successive eager fills settled them;
+// otherwise in collection order, as the last eager fill did.
+func (n *Net) fillPending(flows []*Flow, links []*Link, groups []*rateGroup, sp compSpan) {
+	if !n.fill(flows, links, groups) {
 		return
 	}
+	changed := 0
+	if sp.starts >= 2 {
+		for _, f := range flows {
+			if f.group == nil && f.rate != f.prevRate {
+				changed++
+			}
+		}
+	}
+	if changed < 2 {
+		n.apply(flows, groups)
+		return
+	}
+	// The order BFS runs after the fill under a fresh epoch, so it needs no
+	// per-flow state beyond the stamps; its scratch is dropped afterwards.
+	nf, nl, ng := len(n.compFlows), len(n.compLinks), len(n.compGroups)
+	n.epoch++
+	for _, f := range n.pending {
+		if m := startMark(f); m != sp.epoch && m != n.epoch {
+			continue
+		}
+		from := len(n.compLinks)
+		n.seed(f)
+		n.expandFrom(from)
+	}
+	n.apply(n.compFlows[nf:], groups)
+	n.compFlows, n.compLinks, n.compGroups = n.compFlows[:nf], n.compLinks[:nl], n.compGroups[:ng]
+}
+
+// fill computes the max-min fair rates of a collected component into the
+// flows' rate and the groups' fillRate, keeping each loose flow's previous
+// rate in prevRate, and reports whether there was anything to fill. Links
+// are processed in first-occurrence order and flows in (deterministic)
+// component-discovery order; the freeze SET per filling round is
+// order-independent, so iteration order only re-associates float
+// accumulation, never changes the allocation.
+func (n *Net) fill(flows []*Flow, links []*Link, groups []*rateGroup) bool {
 	// Reset scratch state, remembering pre-fill rates. Flows that were
 	// reclassified into a group after collection are filled as part of that
 	// group; emptied groups are dead entries.
 	anyCapped := false
 	units := 0
-	for _, f := range n.compFlows {
+	for _, f := range flows {
 		if f.group != nil {
 			continue
 		}
@@ -1115,7 +1286,7 @@ func (n *Net) recomputeComponent() {
 		anyCapped = anyCapped || f.MaxRate > 0
 		units++
 	}
-	for _, g := range n.compGroups {
+	for _, g := range groups {
 		if len(g.members) == 0 {
 			continue
 		}
@@ -1123,12 +1294,17 @@ func (n *Net) recomputeComponent() {
 		g.fillRate = 0
 		units++
 	}
+	if units == 0 {
+		return false
+	}
+	n.stats.Fills++
+	n.stats.Collected += uint64(units)
 	// The involved links, in deterministic first-occurrence order, are the
 	// BFS discovery list; only currently-opaque ones participate in the fill
 	// (a transparent link can never bind, and on the removal path it may
 	// carry flows of other components, which must not be frozen here).
 	n.ordered = n.ordered[:0]
-	for _, l := range n.compLinks {
+	for _, l := range links {
 		if !l.transparent() {
 			n.ordered = append(n.ordered, l)
 			l.frozenRate = 0
@@ -1159,7 +1335,7 @@ func (n *Net) recomputeComponent() {
 		if math.IsInf(share, 1) {
 			// Only cap-limited loose flows remain (no shared links); groups
 			// always sit on an opaque link, so none can be left here.
-			for _, f := range n.compFlows {
+			for _, f := range flows {
 				if f.group == nil && !f.frozen {
 					f.freezeAt(f.MaxRate)
 					remaining--
@@ -1175,7 +1351,7 @@ func (n *Net) recomputeComponent() {
 			// cap first; this releases capacity for the rest. Groups are
 			// uncapped by construction and never participate.
 			capped := false
-			for _, f := range n.compFlows {
+			for _, f := range flows {
 				if f.group != nil || f.frozen || f.MaxRate <= 0 || f.MaxRate > share {
 					continue
 				}
@@ -1214,12 +1390,18 @@ func (n *Net) recomputeComponent() {
 			}
 		}
 	}
-	// Apply the new allocation: settle elapsed time at the old rate and
-	// reproject the completion for every flow whose rate actually changed.
+	return true
+}
+
+// apply installs a filled allocation: for every flow whose rate actually
+// changed, it settles elapsed time at the old rate and reprojects the
+// completion, in the order of flows; flows whose rate is unchanged keep
+// their lazy accounting state untouched (no settle, no heap update).
+func (n *Net) apply(flows []*Flow, groups []*rateGroup) {
 	// Each key is heap-fixed IMMEDIATELY after it changes: sequential fixes
 	// are only sound while at most one key is stale at a time.
 	now := n.eng.Now()
-	for _, f := range n.compFlows {
+	for _, f := range flows {
 		if f.group != nil || f.rate == f.prevRate {
 			continue
 		}
@@ -1233,7 +1415,7 @@ func (n *Net) recomputeComponent() {
 		}
 		n.heapFix(f)
 	}
-	for _, g := range n.compGroups {
+	for _, g := range groups {
 		if len(g.members) == 0 || g.fillRate == g.rate {
 			continue
 		}
@@ -1302,6 +1484,7 @@ func (n *Net) reschedule() {
 // its completion delay would vanish under clock round-off), recomputes the
 // affected components, and fires completion callbacks.
 func (n *Net) completionSweep() {
+	n.flush()
 	now := n.eng.Now()
 	n.lastEvent = now
 	n.done = n.done[:0]

@@ -120,8 +120,9 @@ func checkRates(t *testing.T, n *Net, op string) {
 }
 
 // TestGroupFillMatchesWaterfilling drives randomized shared/capped/
-// transparent/SetCapacity schedules and pins the group-based incremental
-// allocation to the from-scratch oracle after every operation.
+// transparent/SetCapacity schedules, including bursts of starts at one
+// instant, and pins the group-based incremental allocation to the
+// from-scratch oracle after every operation.
 func TestGroupFillMatchesWaterfilling(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
@@ -138,11 +139,14 @@ func TestGroupFillMatchesWaterfilling(t *testing.T) {
 			// hub concentrates flows so rate groups actually form: most
 			// single-link flows land on it and share one bottleneck.
 			hub := links[0]
+			// Private links only bursts use, so a burst also starts flows in
+			// components of their own.
+			private := []*Link{NewLink("p0", 80e6), NewLink("p1", 120e6)}
 
 			ops := 150
 			for op := 0; op < ops; op++ {
 				var desc string
-				switch k := rng.Intn(12); {
+				switch k := rng.Intn(14); {
 				case k < 4: // start a single-link hub flow (group candidate)
 					f := &Flow{Tag: TagStoragePush, Links: []*Link{hub}, Size: 1e6 + rng.Float64()*1e11}
 					n.Start(f)
@@ -170,6 +174,36 @@ func TestGroupFillMatchesWaterfilling(t *testing.T) {
 					c := (20 + 280*rng.Float64()) * 1e6
 					desc = fmt.Sprintf("op%d setcap %s %.0f", op, l.Name, c)
 					n.SetCapacity(l, c)
+				case k >= 12: // a burst of 2-16 starts at one instant
+					burst := 2 + rng.Intn(15)
+					for i := 0; i < burst; i++ {
+						f := &Flow{Tag: TagPFS, Size: 1e6 + rng.Float64()*1e11}
+						switch rng.Intn(4) {
+						case 0: // grouped on the hub
+							f.Links = []*Link{hub}
+						case 1: // shared and maybe capped
+							for _, j := range rng.Perm(nLinks)[:1+rng.Intn(3)] {
+								f.Links = append(f.Links, links[j])
+							}
+							if rng.Intn(2) == 0 {
+								f.MaxRate = (5 + 90*rng.Float64()) * 1e6
+							}
+						case 2: // capped on one link: stays loose
+							f.Links = []*Link{links[rng.Intn(nLinks)]}
+							f.MaxRate = (5 + 90*rng.Float64()) * 1e6
+						default: // a disjoint component
+							f.Links = []*Link{private[rng.Intn(len(private))]}
+						}
+						n.Start(f)
+					}
+					// Either the flush event runs, or the rate check's first
+					// read flushes.
+					if rng.Intn(2) == 0 {
+						if err := e.RunUntil(e.Now()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					desc = fmt.Sprintf("op%d burst of %d", op, burst)
 				default: // advance time; completions fire and reshare
 					fired := false
 					e.After(0.2+rng.Float64()*3, func() { fired = true })

@@ -230,7 +230,7 @@ type SharedImage struct {
 	snap *pfs.File
 
 	written *chunk.Set // chunks present in the snapshot
-	content []uint64
+	content chunk.IDs[uint64]
 	seq     uint64
 
 	// Guard, when non-nil, gates every write through the attachment
@@ -258,7 +258,7 @@ func NewSharedImage(cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, b
 		base:    base,
 		snap:    snap,
 		written: chunk.NewSet(geo.Chunks()),
-		content: make([]uint64, geo.Chunks()),
+		content: chunk.NewIDs[uint64](geo.Chunks()),
 	}
 }
 
@@ -272,11 +272,7 @@ func (im *SharedImage) MoveTo(node *fabric.Node) { im.node = node }
 func (im *SharedImage) Geometry() chunk.Geometry { return im.geo }
 
 // ContentSnapshot returns per-chunk content IDs (tests).
-func (im *SharedImage) ContentSnapshot() []uint64 {
-	out := make([]uint64, len(im.content))
-	copy(out, im.content)
-	return out
-}
+func (im *SharedImage) ContentSnapshot() []uint64 { return im.content.Snapshot() }
 
 // Read implements vm.DiskImage: written chunks come from the snapshot file,
 // untouched ones from the base file — all over the PFS.
@@ -325,9 +321,7 @@ func (im *SharedImage) writeFrom(p *sim.Proc, node *fabric.Node, off, length int
 	im.WriteBytes += float64(length)
 	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
 	im.written.AddRange(first, last)
-	for c := first; c <= last; c++ {
-		im.content[c] = im.seq
-	}
+	im.content.SetRange(int(first), int(last), im.seq)
 }
 
 // Sync implements vm.DiskImage: the PFS is already coherent.

@@ -13,6 +13,7 @@ package pfs
 import (
 	"fmt"
 
+	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/sim"
@@ -37,9 +38,14 @@ type FS struct {
 	readBytes  float64
 	writeBytes float64
 	requests   uint64
+
+	// perServer is io's scratch, indexed like Servers: the bytes one
+	// request addresses on each server. It is only used between two yields.
+	perServer []float64
 }
 
-// NewFS creates a file system over the given I/O server nodes.
+// NewFS creates a file system over the given I/O server nodes, which must
+// be distinct; stripe i lives on servers[i%len(servers)].
 func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
 	if len(servers) == 0 {
 		panic("pfs: need at least one server")
@@ -47,7 +53,8 @@ func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
 	if p.StripeSize <= 0 {
 		panic("pfs: stripe size must be positive")
 	}
-	return &FS{Cluster: c, Servers: servers, P: p, files: make(map[string]*File)}
+	return &FS{Cluster: c, Servers: servers, P: p, files: make(map[string]*File),
+		perServer: make([]float64, len(servers))}
 }
 
 // ReadBytes returns total bytes served to readers.
@@ -64,7 +71,7 @@ type File struct {
 	fs      *FS
 	Name    string
 	Size    int64
-	content []ContentID
+	content chunk.IDs[ContentID] // per stripe; sparse, as most of a snapshot is never written
 }
 
 // Create makes a file of fixed size (a preallocated virtual disk or
@@ -78,7 +85,7 @@ func (fs *FS) Create(name string, size int64) *File {
 		panic(fmt.Sprintf("pfs: file %q already exists", name))
 	}
 	n := int((size + fs.P.StripeSize - 1) / fs.P.StripeSize)
-	f := &File{fs: fs, Name: name, Size: size, content: make([]ContentID, n)}
+	f := &File{fs: fs, Name: name, Size: size, content: chunk.NewIDs[ContentID](n)}
 	fs.files[name] = f
 	return f
 }
@@ -87,22 +94,17 @@ func (fs *FS) Create(name string, size int64) *File {
 func (fs *FS) Open(name string) *File { return fs.files[name] }
 
 // Stripes returns the stripe count.
-func (f *File) Stripes() int { return len(f.content) }
+func (f *File) Stripes() int { return f.content.Len() }
 
 // ContentAt returns the content ID of stripe i.
-func (f *File) ContentAt(i int) ContentID { return f.content[i] }
+func (f *File) ContentAt(i int) ContentID { return f.content.At(i) }
 
 // PutContent seeds file content without simulating the upload.
 func (f *File) PutContent(ids []ContentID) {
-	if len(ids) != len(f.content) {
+	if len(ids) != f.content.Len() {
 		panic("pfs: PutContent stripe count mismatch")
 	}
-	copy(f.content, ids)
-}
-
-// server returns the node storing stripe i.
-func (f *File) server(i int) *fabric.Node {
-	return f.fs.Servers[i%len(f.fs.Servers)]
+	f.content.Put(ids)
 }
 
 // stripeLen returns the byte length of stripe i.
@@ -124,14 +126,20 @@ func (f *File) span(off, length int64) (first, last int) {
 }
 
 // io performs the data movement common to Read and Write: one flow per
-// server covering that server's share of the addressed bytes.
+// server covering that server's share of the addressed bytes. Stripes map
+// to servers round-robin, so the servers in first-touch order are those of
+// stripes first, first+1, ... — the flows start in that order.
 func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write bool) {
 	fs := f.fs
 	fs.requests++
 	p.Sleep(fs.P.MetadataLatency)
 	first, last := f.span(off, length)
-	perServer := make(map[*fabric.Node]float64)
-	order := make([]*fabric.Node, 0, len(fs.Servers))
+	ns := len(fs.Servers)
+	touched := min(last-first+1, ns)
+	perServer := fs.perServer
+	for k := 0; k < touched; k++ {
+		perServer[(first+k)%ns] = 0
+	}
 	remaining := length
 	for i := first; i <= last; i++ {
 		// Bytes of this stripe actually addressed.
@@ -144,16 +152,14 @@ func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write boo
 			b = remaining
 		}
 		remaining -= b
-		srv := f.server(i)
-		if _, ok := perServer[srv]; !ok {
-			order = append(order, srv)
-		}
-		perServer[srv] += float64(b)
+		perServer[i%ns] += float64(b)
 	}
 	var wg sim.WaitGroup
 	eng := fs.Cluster.Eng
-	for _, srv := range order {
-		bytes := perServer[srv]
+	done := func() { wg.Done(eng) }
+	for k := 0; k < touched; k++ {
+		s := (first + k) % ns
+		srv, bytes := fs.Servers[s], perServer[s]
 		var path []*flow.Link
 		if write {
 			path = fs.Cluster.RemoteWritePath(client, srv)
@@ -163,7 +169,7 @@ func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write boo
 			fs.readBytes += bytes
 		}
 		wg.Add(1)
-		fs.Cluster.TransferFlowPath(path, bytes, flow.TagPFS, func() { wg.Done(eng) })
+		fs.Cluster.TransferFlowPath(path, bytes, flow.TagPFS, done)
 	}
 	wg.Wait(p)
 }
@@ -179,7 +185,5 @@ func (f *File) Read(p *sim.Proc, client *fabric.Node, off, length int64) {
 func (f *File) Write(p *sim.Proc, client *fabric.Node, off, length int64, id ContentID) {
 	f.io(p, client, off, length, true)
 	first, last := f.span(off, length)
-	for i := first; i <= last; i++ {
-		f.content[i] = id
-	}
+	f.content.SetRange(first, last, id)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
+	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/sched"
 	"github.com/hybridmig/hybridmig/internal/trace"
 )
@@ -321,6 +322,54 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 				t.Errorf("Validate = %v, want ErrInvalidScenario", err)
 			}
 			res, err := c.s.Run()
+			if !errors.Is(err, ErrInvalidScenario) {
+				t.Errorf("Run error = %v, want ErrInvalidScenario", err)
+			}
+			if res != nil {
+				t.Errorf("validation failure returned a result")
+			}
+		})
+	}
+}
+
+// TestValidateRejectsNonFiniteBandwidth: a WithConfig testbed whose link
+// bandwidth is NaN, ±Inf or not positive, or whose latency is NaN, +Inf or
+// negative, fails validation. Such a bandwidth used to pass and then either
+// panic in flow.NewLink or end the run early with a nil error.
+func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(tb *params.Testbed)
+	}{
+		{"NIC NaN", func(tb *params.Testbed) { tb.NICBandwidth = nan }},
+		{"NIC +Inf", func(tb *params.Testbed) { tb.NICBandwidth = inf }},
+		{"NIC negative", func(tb *params.Testbed) { tb.NICBandwidth = -1 }},
+		{"disk NaN", func(tb *params.Testbed) { tb.DiskBandwidth = nan }},
+		{"disk +Inf", func(tb *params.Testbed) { tb.DiskBandwidth = inf }},
+		{"disk zero", func(tb *params.Testbed) { tb.DiskBandwidth = 0 }},
+		{"fabric NaN", func(tb *params.Testbed) { tb.FabricBandwidth = nan }},
+		{"fabric -Inf", func(tb *params.Testbed) { tb.FabricBandwidth = -inf }},
+		{"network latency NaN", func(tb *params.Testbed) { tb.NetLatency = nan }},
+		{"disk latency +Inf", func(tb *params.Testbed) { tb.DiskLatency = inf }},
+		{"disk latency negative", func(tb *params.Testbed) { tb.DiskLatency = -1e-3 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("Run panicked: %v", v)
+				}
+			}()
+			set := NewSetup(ScaleSmall, 4)
+			c.edit(&set.Cluster.Testbed)
+			s := New(WithConfig(set.Cluster)).
+				AddVM(VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach, Workload: IOR(&set.IOR)}).
+				MigrateAt("a", 1, 1)
+			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			res, err := s.Run()
 			if !errors.Is(err, ErrInvalidScenario) {
 				t.Errorf("Run error = %v, want ErrInvalidScenario", err)
 			}

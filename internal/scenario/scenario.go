@@ -632,7 +632,34 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if top := s.maxNodeIndex(); top >= cfg.Nodes {
 		return zero, Setup{}, nil, invalidf("node index %d out of range (testbed has %d nodes)", top, cfg.Nodes)
 	}
+	if err := validateTestbed(cfg.Testbed); err != nil {
+		return zero, Setup{}, nil, err
+	}
 	return cfg, set, byName, nil
+}
+
+// validateTestbed requires every link bandwidth of the testbed to be finite
+// and positive, and every latency finite and non-negative. flow.NewLink
+// panics on a bandwidth outside that range, and a non-finite one that got
+// through would end a run early with no error or report impossible times.
+func validateTestbed(tb params.Testbed) error {
+	for _, bw := range [...]struct {
+		name string
+		v    float64
+	}{{"NIC", tb.NICBandwidth}, {"disk", tb.DiskBandwidth}, {"fabric", tb.FabricBandwidth}} {
+		if !finite(bw.v) || bw.v <= 0 {
+			return invalidf("testbed %s bandwidth %g is not a finite positive rate", bw.name, bw.v)
+		}
+	}
+	for _, lat := range [...]struct {
+		name string
+		v    float64
+	}{{"network", tb.NetLatency}, {"disk", tb.DiskLatency}} {
+		if !finite(lat.v) || lat.v < 0 {
+			return invalidf("testbed %s latency %g is not a finite non-negative time", lat.name, lat.v)
+		}
+	}
+	return nil
 }
 
 // runner holds one VM's live workload instance for result collection.
