@@ -8,15 +8,15 @@
 // when many destinations fetch base-image content simultaneously.
 //
 // Writes never modify stripes in place: each write publishes a new version
-// whose stripe map shares unmodified stripes with its parent (shadowing), and
-// Clone creates a new blob sharing all stripes (the multi-deployment pattern
-// of the paper's prior work). Content is identified by 64-bit content IDs
-// rather than materialized bytes; see package core for how IDs propagate.
+// whose stripe map shares unmodified stripes with its parent (shadowing).
+// Content is identified by 64-bit content IDs rather than materialized
+// bytes; see package core for how IDs propagate.
 package blob
 
 import (
 	"fmt"
 
+	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/params"
@@ -82,11 +82,11 @@ type Blob struct {
 	Size  int64
 
 	version int
-	content []ContentID
+	content chunk.IDs[ContentID] // per stripe; paged, as a base image is implicit and rarely written
 }
 
 // Stripes returns the number of stripes in the blob.
-func (b *Blob) Stripes() int { return len(b.content) }
+func (b *Blob) Stripes() int { return b.content.Len() }
 
 // Version returns the blob's current version number.
 func (b *Blob) Version() int { return b.version }
@@ -103,33 +103,22 @@ func (s *Store) Create(size int64) *Blob {
 		Store:   s,
 		ID:      s.nextBlobID,
 		Size:    size,
-		content: make([]ContentID, n),
+		content: chunk.NewIDs[ContentID](n),
 	}
 	s.nextBlobID++
 	return b
 }
 
-// PutContent seeds the blob's stripe content (used to install a base image
-// without simulating the upload). The slice is copied.
-func (b *Blob) PutContent(ids []ContentID) {
-	if len(ids) != len(b.content) {
-		panic(fmt.Sprintf("blob: PutContent of %d stripes into blob of %d", len(ids), len(b.content)))
-	}
-	copy(b.content, ids)
+// PutBase installs a base image without simulating the upload: stripe i
+// reads first+i until it is written. The IDs are implicit, so a base image
+// stores no table.
+func (b *Blob) PutBase(first ContentID) {
+	b.content = chunk.NewBaseIDs(b.content.Len(), first)
 	b.version++
 }
 
-// Clone creates a new blob sharing all stripe content and placement — a
-// metadata-only snapshot, as in BlobSeer's cloning.
-func (b *Blob) Clone() *Blob {
-	nb := b.Store.Create(b.Size)
-	copy(nb.content, b.content)
-	nb.version = 1
-	return nb
-}
-
 // ContentAt returns the content ID of stripe i.
-func (b *Blob) ContentAt(i int) ContentID { return b.content[i] }
+func (b *Blob) ContentAt(i int) ContentID { return b.content.At(i) }
 
 // stripeServer picks the replica server for a read. round rotates the
 // replica choice across successive read requests so repeated reads of the
@@ -147,8 +136,8 @@ func (b *Blob) replicaServer(i, r int) int { return (i + r) % len(b.Store.Server
 // is exactly what spreads a big read over many servers). Returns the content
 // IDs of the stripes read.
 func (b *Blob) Read(p *sim.Proc, client *fabric.Node, first, count int) []ContentID {
-	if first < 0 || count <= 0 || first+count > len(b.content) {
-		panic(fmt.Sprintf("blob: read [%d,%d) of blob with %d stripes", first, first+count, len(b.content)))
+	if first < 0 || count <= 0 || first+count > b.content.Len() {
+		panic(fmt.Sprintf("blob: read [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
 	}
 	s := b.Store
 	p.Sleep(s.P.MetadataLatency)
@@ -179,7 +168,9 @@ func (b *Blob) Read(p *sim.Proc, client *fabric.Node, first, count int) []Conten
 	}
 	wg.Wait(p)
 	out := make([]ContentID, count)
-	copy(out, b.content[first:first+count])
+	for i := range out {
+		out[i] = b.content.At(first + i)
+	}
 	return out
 }
 
@@ -227,8 +218,8 @@ func (b *Blob) ReadAsync(client *fabric.Node, first, count int, rateCap float64,
 // advances. ids supplies the new content IDs.
 func (b *Blob) Write(p *sim.Proc, client *fabric.Node, first int, ids []ContentID) {
 	count := len(ids)
-	if first < 0 || count == 0 || first+count > len(b.content) {
-		panic(fmt.Sprintf("blob: write [%d,%d) of blob with %d stripes", first, first+count, len(b.content)))
+	if first < 0 || count == 0 || first+count > b.content.Len() {
+		panic(fmt.Sprintf("blob: write [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
 	}
 	s := b.Store
 	p.Sleep(s.P.MetadataLatency)
@@ -252,7 +243,9 @@ func (b *Blob) Write(p *sim.Proc, client *fabric.Node, first int, ids []ContentI
 		})
 	}
 	wg.Wait(p)
-	copy(b.content[first:first+count], ids)
+	for i, id := range ids {
+		b.content.Set(first+i, id)
+	}
 	b.version++
 }
 

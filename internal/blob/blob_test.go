@@ -70,28 +70,37 @@ func TestPlacementTable(t *testing.T) {
 	}
 }
 
-func TestPutContentAndClone(t *testing.T) {
-	_, _, st := testStore(4, 1)
+// TestPutBase: an installed base reads first+i on every stripe, advances
+// the version, and a later write overrides only the stripes it covers.
+func TestPutBase(t *testing.T) {
+	eng, c, st := testStore(4, 1)
 	b := st.Create(400)
-	ids := []ContentID{1, 2, 3, 4}
-	b.PutContent(ids)
-	cl := b.Clone()
-	for i := range ids {
-		if cl.ContentAt(i) != ids[i] {
-			t.Fatal("clone content differs")
+	b.PutBase(1000)
+	if b.Version() != 1 {
+		t.Fatalf("version = %d after PutBase, want 1", b.Version())
+	}
+	for i := 0; i < b.Stripes(); i++ {
+		if got := b.ContentAt(i); got != ContentID(1000+i) {
+			t.Fatalf("stripe %d = %d, want %d", i, got, 1000+i)
 		}
 	}
-	// Clone is independent metadata.
-	cl.content[0] = 99
-	if b.ContentAt(0) != 1 {
-		t.Fatal("clone aliases parent metadata")
+	eng.Go("writer", func(p *sim.Proc) {
+		b.Write(p, c.Nodes[5], 2, []ContentID{7})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []ContentID{1000, 1001, 7, 1003} {
+		if got := b.ContentAt(i); got != want {
+			t.Fatalf("after write: stripe %d = %d, want %d", i, got, want)
+		}
 	}
 }
 
 func TestReadReturnsContent(t *testing.T) {
 	eng, c, st := testStore(4, 1)
 	b := st.Create(400)
-	b.PutContent([]ContentID{10, 20, 30, 40})
+	b.PutBase(10)
 	client := c.Nodes[5]
 	var got []ContentID
 	eng.Go("reader", func(p *sim.Proc) {
@@ -100,7 +109,7 @@ func TestReadReturnsContent(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
+	if len(got) != 2 || got[0] != 11 || got[1] != 12 {
 		t.Fatalf("got %v", got)
 	}
 	if st.Reads() == 0 || st.ReadBytes() != 200 {

@@ -358,40 +358,62 @@ func (s *Set) NextRunFrom(c Idx, maxLen int) (start Idx, length int) {
 }
 
 // Counter tracks per-chunk write counts. Counts saturate at the maximum
-// uint32 rather than wrapping.
+// uint32 rather than wrapping. The counts are allocated on the first Inc,
+// so a migration whose VM writes nothing costs no count storage.
 type Counter struct {
-	counts []uint32
+	n      int
+	counts []uint32 // nil until the first Inc
 }
 
 // NewCounter returns a zeroed counter for n chunks.
-func NewCounter(n int) *Counter { return &Counter{counts: make([]uint32, n)} }
+func NewCounter(n int) *Counter {
+	if n < 0 {
+		panic("chunk: negative counter size")
+	}
+	return &Counter{n: n}
+}
 
 // Len returns the number of chunks covered.
-func (wc *Counter) Len() int { return len(wc.counts) }
+func (wc *Counter) Len() int { return wc.n }
+
+// Allocated reports whether the counts have been allocated (by an Inc).
+func (wc *Counter) Allocated() bool { return wc.counts != nil }
 
 // Get returns the count for chunk c.
-func (wc *Counter) Get(c Idx) uint32 { return wc.counts[c] }
+func (wc *Counter) Get(c Idx) uint32 {
+	if wc.counts == nil {
+		if uint(c) >= uint(wc.n) {
+			panic(indexError{"counter", int(c), wc.n})
+		}
+		return 0
+	}
+	return wc.counts[c]
+}
 
 // Inc increments the count for chunk c and returns the new value.
 func (wc *Counter) Inc(c Idx) uint32 {
+	if wc.counts == nil {
+		if uint(c) >= uint(wc.n) {
+			panic(indexError{"counter", int(c), wc.n})
+		}
+		wc.counts = make([]uint32, wc.n)
+	}
 	if wc.counts[c] != ^uint32(0) {
 		wc.counts[c]++
 	}
 	return wc.counts[c]
 }
 
-// Reset zeroes all counts.
-func (wc *Counter) Reset() {
-	for i := range wc.counts {
-		wc.counts[i] = 0
-	}
+// indexError is the panic value of an out-of-range index into a Counter or
+// an IDs array. It formats only when printed, which keeps the checks cheap
+// enough for the accessors to inline.
+type indexError struct {
+	of   string
+	i, n int
 }
 
-// Snapshot returns a copy of the counts slice.
-func (wc *Counter) Snapshot() []uint32 {
-	out := make([]uint32, len(wc.counts))
-	copy(out, wc.counts)
-	return out
+func (e indexError) Error() string {
+	return fmt.Sprintf("chunk: %s index %d out of [0,%d)", e.of, e.i, e.n)
 }
 
 // prioItem is a queue entry: chunk c with priority (count, then lower index
@@ -431,13 +453,20 @@ type PullQueue struct {
 }
 
 // NewPullQueue builds a queue over every member of remaining, prioritized by
-// counts. The queue holds a reference to remaining: removing a chunk from
-// the set cancels its queue entry.
-func NewPullQueue(remaining *Set, counts []uint32) *PullQueue {
+// the members' counts as they read now: the queue copies them, so later
+// increments do not reorder it. A nil counter gives every member the same
+// priority (ascending index, the FIFO ablation). The queue holds a
+// reference to remaining: removing a chunk from the set cancels its queue
+// entry.
+func NewPullQueue(remaining *Set, counts *Counter) *PullQueue {
 	q := &PullQueue{members: remaining}
 	q.h = make(prioHeap, 0, remaining.Count())
 	remaining.ForEach(func(c Idx) bool {
-		q.h = append(q.h, prioItem{c: c, count: counts[c]})
+		var n uint32
+		if counts != nil {
+			n = counts.Get(c)
+		}
+		q.h = append(q.h, prioItem{c: c, count: n})
 		return true
 	})
 	heap.Init(&q.h)

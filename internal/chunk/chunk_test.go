@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -208,33 +209,58 @@ func TestSetMatchesMap(t *testing.T) {
 	}
 }
 
+// TestCounter: a fresh counter reads zero without storage, the first Inc
+// allocates it, and both Get and Inc check bounds either way.
 func TestCounter(t *testing.T) {
 	wc := NewCounter(10)
-	if wc.Get(3) != 0 {
-		t.Fatal("fresh counter nonzero")
+	if wc.Get(3) != 0 || wc.Allocated() {
+		t.Fatal("fresh counter nonzero or allocated")
 	}
-	if wc.Inc(3) != 1 || wc.Inc(3) != 2 {
+	if wc.Inc(3) != 1 || wc.Inc(3) != 2 || !wc.Allocated() {
 		t.Fatal("Inc wrong")
 	}
-	snap := wc.Snapshot()
-	wc.Inc(3)
-	if snap[3] != 2 {
-		t.Fatal("snapshot aliases counter")
+	if wc.Get(3) != 2 || wc.Get(4) != 0 || wc.Len() != 10 {
+		t.Fatal("Get wrong after Inc")
 	}
-	wc.Reset()
-	if wc.Get(3) != 0 {
-		t.Fatal("reset failed")
+	for name, f := range map[string]func(){
+		"Get(10) fresh":  func() { NewCounter(10).Get(10) },
+		"Get(-1) fresh":  func() { NewCounter(10).Get(-1) },
+		"Get(10)":        func() { wc.Get(10) },
+		"Inc(10)":        func() { wc.Inc(10) },
+		"NewCounter(-1)": func() { NewCounter(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
+}
+
+// counterOf returns a counter of n chunks with chunk c incremented
+// counts[c] times.
+func counterOf(n int, counts map[Idx]uint32) *Counter {
+	wc := NewCounter(n)
+	for c, k := range counts {
+		for range k {
+			wc.Inc(c)
+		}
+	}
+	return wc
 }
 
 func TestPullQueueOrder(t *testing.T) {
 	remaining := NewSet(10)
-	counts := make([]uint32, 10)
-	for c, n := range map[Idx]uint32{1: 5, 2: 1, 3: 9, 7: 5, 9: 0} {
-		remaining.Add(c)
-		counts[c] = n
+	counts := map[Idx]uint32{1: 5, 2: 1, 3: 9, 7: 5, 9: 0, 4: 8} // 4 is not remaining
+	for c := range counts {
+		if c != 4 {
+			remaining.Add(c)
+		}
 	}
-	q := NewPullQueue(remaining, counts)
+	q := NewPullQueue(remaining, counterOf(10, counts))
 	var got []Idx
 	for {
 		c := q.Pop()
@@ -258,9 +284,10 @@ func TestPullQueueOrder(t *testing.T) {
 
 func TestPullQueueLazyCancel(t *testing.T) {
 	remaining := NewSet(5)
-	counts := []uint32{0, 10, 20, 30, 40}
+	counts := counterOf(5, map[Idx]uint32{1: 10, 2: 20, 3: 30, 4: 40})
 	remaining.AddRange(0, 4)
 	q := NewPullQueue(remaining, counts)
+	counts.Inc(0) // later writes do not reorder a built queue
 	// A destination write removes chunk 4 before it is pulled.
 	remaining.Remove(4)
 	if got := q.Pop(); got != 3 {
@@ -289,13 +316,17 @@ func TestPullQueueProperty(t *testing.T) {
 		n := 1 + rng.Intn(200)
 		remaining := NewSet(n)
 		counts := make([]uint32, n)
+		wc := NewCounter(n)
 		for c := 0; c < n; c++ {
 			if rng.Intn(2) == 0 {
 				remaining.Add(Idx(c))
 				counts[c] = uint32(rng.Intn(8))
+				for range counts[c] {
+					wc.Inc(Idx(c))
+				}
 			}
 		}
-		q := NewPullQueue(remaining, counts)
+		q := NewPullQueue(remaining, wc)
 		// Cancel a random subset.
 		canceled := make(map[Idx]bool)
 		remaining.ForEach(func(c Idx) bool {
@@ -329,5 +360,25 @@ func TestPullQueueProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPullQueueNilCounterIsFIFO: with no counter (the FIFO ablation) every
+// member has the same priority, so the queue pops in ascending index and
+// still skips canceled members.
+func TestPullQueueNilCounterIsFIFO(t *testing.T) {
+	remaining := NewSet(100)
+	remaining.AddRange(10, 14)
+	remaining.AddRange(60, 61)
+	remaining.Add(3)
+	q := NewPullQueue(remaining, nil)
+	remaining.Remove(12)
+	var got []Idx
+	for c := q.Pop(); c >= 0; c = q.Pop() {
+		remaining.Remove(c)
+		got = append(got, c)
+	}
+	if want := []Idx{3, 10, 11, 13, 14, 60, 61}; !slices.Equal(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }

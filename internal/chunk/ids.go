@@ -6,44 +6,68 @@ import "fmt"
 const idsPage = 512
 
 // IDs is a fixed-length array of content IDs whose entries read zero
-// ("never written") until set. It is stored in pages of idsPage entries
-// allocated on first write, so a file or image whose writes cover a small
-// part of it costs a page table plus the pages written instead of one
-// word per entry: a pvfs-shared snapshot of a 4 GB image has 16,384
-// stripes, most of which a run never writes.
+// ("never written") until set, or, built with a nonzero base, whose entry i
+// reads base+i until set: an image's base content, implicit rather than
+// stored. It is stored in pages of idsPage entries allocated on first
+// write, so a file or image whose writes cover a small part of it costs a
+// page table plus the pages written instead of one word per entry: a 4 GB
+// image has 16,384 chunks, most of which a run never writes.
+//
+// A page holds each entry as its difference from the entry's unwritten
+// value (modulo 2^64). A fresh page is then all zeros, and the entries of a
+// page that a write does not touch keep reading base+i, with no fill: that
+// keeps At and Set small enough to inline.
 type IDs[T ~uint64] struct {
 	n     int
+	base  T
 	pages [][]T
 }
 
-// NewIDs returns an all-zero array of n entries.
-func NewIDs[T ~uint64](n int) IDs[T] {
+// NewIDs returns an array of n entries that read zero until set.
+func NewIDs[T ~uint64](n int) IDs[T] { return NewBaseIDs[T](n, 0) }
+
+// NewBaseIDs returns an array of n entries whose unwritten entry i reads
+// base+i, or zero when base is zero.
+func NewBaseIDs[T ~uint64](n int, base T) IDs[T] {
 	if n < 0 {
 		panic("chunk: negative IDs length")
 	}
-	return IDs[T]{n: n, pages: make([][]T, (n+idsPage-1)/idsPage)}
+	return IDs[T]{n: n, base: base, pages: make([][]T, (n+idsPage-1)/idsPage)}
 }
 
 // Len returns the number of entries.
 func (a *IDs[T]) Len() int { return a.n }
 
-// At returns entry i.
-func (a *IDs[T]) At(i int) T {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("chunk: ID index %d out of [0,%d)", i, a.n))
+// unwritten returns what entry i reads before its first write.
+func (a *IDs[T]) unwritten(i int) T {
+	if a.base == 0 {
+		return 0
 	}
-	if p := a.pages[i/idsPage]; p != nil {
-		return p[i%idsPage]
-	}
-	return 0
+	return a.base + T(i)
 }
 
-// page returns page k, allocating it on first use.
-func (a *IDs[T]) page(k int) []T {
-	if a.pages[k] == nil {
-		a.pages[k] = make([]T, min(idsPage, a.n-k*idsPage))
+// At returns entry i.
+func (a *IDs[T]) At(i int) T {
+	if uint(i) >= uint(a.n) {
+		panic(indexError{"ID", i, a.n})
 	}
-	return a.pages[k]
+	v := a.unwritten(i)
+	if p := a.pages[uint(i)/idsPage]; p != nil {
+		v += p[uint(i)%idsPage]
+	}
+	return v
+}
+
+// Set sets entry i to id.
+func (a *IDs[T]) Set(i int, id T) {
+	if uint(i) >= uint(a.n) {
+		panic(indexError{"ID", i, a.n})
+	}
+	k := uint(i) / idsPage
+	if a.pages[k] == nil {
+		a.pages[k] = make([]T, idsPage)
+	}
+	a.pages[k][uint(i)%idsPage] = id - a.unwritten(i)
 }
 
 // SetRange sets entries first..last (inclusive) to id.
@@ -54,29 +78,34 @@ func (a *IDs[T]) SetRange(first, last int, id T) {
 	for i := first; i <= last; {
 		k := i / idsPage
 		end := min(last+1, (k+1)*idsPage)
-		p := a.page(k)[i-k*idsPage : end-k*idsPage]
+		if a.pages[k] == nil {
+			a.pages[k] = make([]T, idsPage)
+		}
+		p := a.pages[k][i-k*idsPage : end-k*idsPage]
 		for j := range p {
-			p[j] = id
+			p[j] = id - a.unwritten(i+j)
 		}
 		i = end
 	}
 }
 
-// Put overwrites every entry with ids, which must have Len entries.
-func (a *IDs[T]) Put(ids []T) {
-	if len(ids) != a.n {
-		panic(fmt.Sprintf("chunk: Put of %d IDs into an array of %d", len(ids), a.n))
+// Pages returns the number of pages allocated, a measure of what the array
+// costs beyond its page table.
+func (a *IDs[T]) Pages() int {
+	k := 0
+	for _, p := range a.pages {
+		if p != nil {
+			k++
+		}
 	}
-	for k := range a.pages {
-		copy(a.page(k), ids[k*idsPage:])
-	}
+	return k
 }
 
 // Snapshot returns the entries as a dense slice.
 func (a *IDs[T]) Snapshot() []T {
 	out := make([]T, a.n)
-	for k, p := range a.pages {
-		copy(out[k*idsPage:], p)
+	for i := range out {
+		out[i] = a.At(i)
 	}
 	return out
 }

@@ -6,66 +6,174 @@ import (
 	"testing"
 )
 
-// TestIDsMatchesDense drives IDs and a dense slice with the same random
-// SetRange and Put calls, across page boundaries and a short last page,
-// and requires every read to agree.
+// idsModel is the dense reference an IDs array is checked against, plus the
+// pages writes have touched (the only pages the array may allocate).
+type idsModel struct {
+	ref     []uint64
+	touched map[int]bool
+}
+
+func newIDsModel(n int, base uint64) *idsModel {
+	m := &idsModel{ref: make([]uint64, n), touched: make(map[int]bool)}
+	if base != 0 {
+		for i := range m.ref {
+			m.ref[i] = base + uint64(i)
+		}
+	}
+	return m
+}
+
+func (m *idsModel) setRange(first, last int, id uint64) {
+	for i := first; i <= last; i++ {
+		m.ref[i] = id
+		m.touched[i/idsPage] = true
+	}
+}
+
+// check requires every read, the snapshot and the page count of a to agree
+// with the model.
+func (m *idsModel) check(t *testing.T, a *IDs[uint64], what string) {
+	t.Helper()
+	if a.Len() != len(m.ref) {
+		t.Fatalf("%s: Len = %d, want %d", what, a.Len(), len(m.ref))
+	}
+	for i, want := range m.ref {
+		if got := a.At(i); got != want {
+			t.Fatalf("%s: At(%d) = %d, want %d", what, i, got, want)
+		}
+	}
+	if !slices.Equal(a.Snapshot(), m.ref) {
+		t.Fatalf("%s: Snapshot differs from the dense reference", what)
+	}
+	if a.Pages() != len(m.touched) {
+		t.Fatalf("%s: %d pages allocated, want the %d written", what, a.Pages(), len(m.touched))
+	}
+}
+
+// TestIDsMatchesDense drives IDs and a dense slice with the same random Set
+// and SetRange calls, across page boundaries and a short last page, for a
+// zero and a nonzero base, and requires every read to agree.
 func TestIDsMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, idsPage - 1, idsPage, idsPage + 1, 3*idsPage + 17} {
-		a := NewIDs[uint64](n)
-		ref := make([]uint64, n)
-		for op := 0; op < 200; op++ {
-			switch rng.Intn(8) {
-			case 0:
-				ids := make([]uint64, n)
-				for i := range ids {
-					ids[i] = rng.Uint64()
-				}
-				a.Put(ids)
-				copy(ref, ids)
-			default:
-				first := rng.Intn(n)
-				last := first + rng.Intn(min(n-first, 2*idsPage+3))
+	for _, base := range []uint64{0, 1_000_000} {
+		for _, n := range []int{1, idsPage - 1, idsPage, idsPage + 1, 3*idsPage + 17} {
+			a := NewBaseIDs(n, base)
+			m := newIDsModel(n, base)
+			for op := 0; op < 200; op++ {
 				id := uint64(op + 1)
-				a.SetRange(first, last, id)
-				for i := first; i <= last; i++ {
-					ref[i] = id
+				switch first := rng.Intn(n); rng.Intn(4) {
+				case 0:
+					a.Set(first, id)
+					m.setRange(first, first, id)
+				default:
+					last := first + rng.Intn(min(n-first, 2*idsPage+3))
+					a.SetRange(first, last, id)
+					m.setRange(first, last, id)
 				}
-			}
-			if a.Len() != n {
-				t.Fatalf("n=%d: Len = %d", n, a.Len())
-			}
-			for i := range ref {
-				if a.At(i) != ref[i] {
-					t.Fatalf("n=%d op %d: At(%d) = %d, want %d", n, op, i, a.At(i), ref[i])
-				}
-			}
-			if got := a.Snapshot(); !slices.Equal(got, ref) {
-				t.Fatalf("n=%d op %d: Snapshot differs from the dense reference", n, op)
+				m.check(t, &a, "dense")
 			}
 		}
 	}
 }
 
-// TestIDsAllocatesOnlyWrittenPages checks the point of the type: an
-// unwritten array reads zero without pages, and a write allocates only the
-// pages it touches.
-func TestIDsAllocatesOnlyWrittenPages(t *testing.T) {
-	a := NewIDs[uint64](16 * idsPage)
-	pages := func() (k int) {
-		for _, p := range a.pages {
-			if p != nil {
-				k++
+// TestBaseIDs: an unwritten entry reads base+i, the first Set into a page
+// leaves that page's other entries at base+i, and Snapshot is right over a
+// mix of written and unwritten pages.
+func TestBaseIDs(t *testing.T) {
+	const base = 1_000_000
+	n := 3*idsPage + 5
+	a := NewBaseIDs[uint64](n, base)
+	for _, i := range []int{0, 1, idsPage - 1, idsPage, n - 1} {
+		if got := a.At(i); got != base+uint64(i) {
+			t.Fatalf("unwritten At(%d) = %d, want %d", i, got, base+uint64(i))
+		}
+	}
+	a.Set(idsPage+7, 42)
+	if a.Pages() != 1 {
+		t.Fatalf("one Set allocated %d pages, want 1", a.Pages())
+	}
+	for i := idsPage; i < 2*idsPage; i++ {
+		want := base + uint64(i)
+		if i == idsPage+7 {
+			want = 42
+		}
+		if got := a.At(i); got != want {
+			t.Fatalf("At(%d) = %d after a Set into its page, want %d", i, got, want)
+		}
+	}
+	a.SetRange(n-3, n-1, 9) // the short last page
+	snap := a.Snapshot()
+	for i, got := range snap {
+		want := base + uint64(i)
+		switch {
+		case i == idsPage+7:
+			want = 42
+		case i >= n-3:
+			want = 9
+		}
+		if got != want {
+			t.Fatalf("Snapshot[%d] = %d, want %d", i, got, want)
+		}
+	}
+	if zero := NewIDs[uint64](n); zero.At(n-1) != 0 {
+		t.Fatal("NewIDs must read zero when unwritten")
+	}
+}
+
+// FuzzIDs replays fuzzer bytes as Set, SetRange and At calls on an IDs
+// array and a dense reference: the first byte sizes the array (1..2041
+// entries, up to four pages), the second picks base 0 or a nonzero base,
+// then every four bytes are one operation (kind, a 16-bit index, a range
+// length). The seed corpus is under testdata/fuzz/FuzzIDs.
+func FuzzIDs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + 8*int(data[0])
+		var base uint64
+		if data[1]&1 != 0 {
+			base = 1_000_000
+		}
+		a := NewBaseIDs(n, base)
+		m := newIDsModel(n, base)
+		data = data[2:]
+		for op := 0; len(data) >= 4 && op < 64; op, data = op+1, data[4:] {
+			i := (int(data[1])<<8 | int(data[2])) % n
+			id := uint64(op + 1)
+			switch data[0] % 3 {
+			case 0:
+				a.Set(i, id)
+				m.setRange(i, i, id)
+			case 1:
+				last := min(n-1, i+int(data[3])*4)
+				a.SetRange(i, last, id)
+				m.setRange(i, last, id)
+			case 2:
+				if got := a.At(i); got != m.ref[i] {
+					t.Fatalf("op %d: At(%d) = %d, want %d", op, i, got, m.ref[i])
+				}
 			}
 		}
-		return k
-	}
-	if a.At(5*idsPage) != 0 || pages() != 0 {
+		m.check(t, &a, "fuzz")
+	})
+}
+
+// TestIDsAllocatesOnlyWrittenPages checks the point of the type: an
+// unwritten array reads its base without pages, and a write allocates only
+// the pages it touches.
+func TestIDsAllocatesOnlyWrittenPages(t *testing.T) {
+	a := NewIDs[uint64](16 * idsPage)
+	if a.At(5*idsPage) != 0 || a.Pages() != 0 {
 		t.Fatal("a new array must read zero with no pages")
 	}
 	a.SetRange(idsPage-1, idsPage, 7)
-	if pages() != 2 {
-		t.Fatalf("a write across one page boundary allocated %d pages, want 2", pages())
+	if a.Pages() != 2 {
+		t.Fatalf("a write across one page boundary allocated %d pages, want 2", a.Pages())
+	}
+	a.Set(idsPage+1, 8)
+	if a.Pages() != 2 {
+		t.Fatalf("a Set into an allocated page allocated more: %d pages, want 2", a.Pages())
 	}
 }
 
@@ -74,9 +182,10 @@ func TestIDsRejectsOutOfRange(t *testing.T) {
 	for name, f := range map[string]func(){
 		"At(-1)":         func() { a.At(-1) },
 		"At(10)":         func() { a.At(10) },
+		"Set(-1)":        func() { a.Set(-1, 1) },
+		"Set(10)":        func() { a.Set(10, 1) },
 		"SetRange(9,10)": func() { a.SetRange(9, 10, 1) },
 		"SetRange(3,2)":  func() { a.SetRange(3, 2, 1) },
-		"Put(short)":     func() { a.Put(make([]uint64, 9)) },
 		"NewIDs(-1)":     func() { NewIDs[uint64](-1) },
 		"SetRange(-1,0)": func() { a.SetRange(-1, 0, 1) },
 	} {

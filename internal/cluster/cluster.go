@@ -156,18 +156,11 @@ func New(cfg Config) *Testbed {
 		geo:  chunk.NewGeometry(cfg.Testbed.ImageSize, cfg.Testbed.ChunkSize),
 		bus:  &trace.Bus{},
 	}
+	// Distinct base content: stripe i holds ID 1_000_000+i in both stores.
 	tb.baseBlob = repo.Create(cfg.Testbed.ImageSize)
-	ids := make([]blob.ContentID, tb.baseBlob.Stripes())
-	for i := range ids {
-		ids[i] = blob.ContentID(1_000_000 + i) // distinct base content
-	}
-	tb.baseBlob.PutContent(ids)
+	tb.baseBlob.PutBase(1_000_000)
 	tb.basePFS = fs.Create("base.img", cfg.Testbed.ImageSize)
-	pids := make([]pfs.ContentID, tb.basePFS.Stripes())
-	for i := range pids {
-		pids[i] = pfs.ContentID(1_000_000 + i)
-	}
-	tb.basePFS.PutContent(pids)
+	tb.basePFS.PutBase(1_000_000)
 	// The attachment manager's reachability probe is the fabric's partition
 	// state: a node inside a partition window cannot renew its leases.
 	tb.leases = lease.NewManager(eng, tb.bus, cfg.Lease, func(node int) bool {

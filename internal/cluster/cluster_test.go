@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +15,24 @@ import (
 
 func smallTB() *Testbed {
 	return New(SmallConfig(6))
+}
+
+// TestClusterNewAllocBounded: building a testbed at paper scale (a 4 GB
+// image in 16,384 stripes) allocates no per-stripe table: the base image's
+// content IDs are implicit in both the repository and the PFS. A sharded
+// fleet builds one testbed per shard, so this is a per-shard fixed cost.
+func TestClusterNewAllocBounded(t *testing.T) {
+	const calls, limit = 20, 64 << 10
+	cfg := DefaultConfig(4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		New(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= limit {
+		t.Fatalf("cluster.New allocates %d B per call, want under %d", per, limit)
+	}
 }
 
 func TestLaunchAllApproaches(t *testing.T) {

@@ -94,7 +94,7 @@ func TestAbortPushPhaseCleanup(t *testing.T) {
 	if im.Node() != r.cl.Nodes[1] {
 		t.Fatal("retry did not move I/O control to the destination")
 	}
-	got, want := im.ContentSnapshot(), ref.ContentSnapshot()
+	got, want := im.cur.content.Snapshot(), ref.cur.content.Snapshot()
 	for c := range got {
 		if got[c] != want[c] {
 			t.Fatalf("chunk %d content %d after retry, reference %d", c, got[c], want[c])
@@ -146,7 +146,7 @@ func TestAbortPullPhaseFallsBackToSource(t *testing.T) {
 		t.Fatal("aborted migration reported complete")
 	}
 	// Source content intact: every written chunk still has its content.
-	snap := im.ContentSnapshot()
+	snap := im.cur.content.Snapshot()
 	for c := 0; c < 128; c++ {
 		if snap[c] == 0 {
 			t.Fatalf("chunk %d lost content in the fallback", c)
@@ -246,7 +246,7 @@ func TestAbortRetryConsistencyProperty(t *testing.T) {
 				t.Logf("seed %d mode %v: final owner %v", seed, mode, im.Node())
 				return false
 			}
-			got := im.ContentSnapshot()
+			got := im.cur.content.Snapshot()
 			for c := 0; c < nChunks; c++ {
 				if shadow[c] != 0 && got[c] != shadow[c] {
 					t.Logf("seed %d mode %v: chunk %d content %d, want %d",
@@ -325,7 +325,7 @@ func TestAbortThenImmediateRetrySameInstant(t *testing.T) {
 		t.Fatal("immediate retry did not complete")
 	}
 	// Content must be exactly the 128 written chunks, once each.
-	snap := im.ContentSnapshot()
+	snap := im.cur.content.Snapshot()
 	for c := 0; c < 128; c++ {
 		if snap[c] == 0 {
 			t.Fatalf("chunk %d lost in immediate retry", c)

@@ -113,6 +113,41 @@ func migrate(r *rig, im *Image, dstNode int, pushDur float64, after func(p *sim.
 	})
 }
 
+// TestPreseededIdleMigrationIsSparse: a preseeded VM that writes nothing
+// migrates without allocating a content page on either side, storage for
+// its write counts or a dedup set, in every mode. This is the per-VM cost
+// of an idle fleet.
+func TestPreseededIdleMigrationIsSparse(t *testing.T) {
+	for _, mode := range []Mode{ModeHybrid, ModeMirror, ModePostcopy} {
+		r := newRig()
+		opts := DefaultOptions(mode)
+		opts.Preseeded = true
+		im := r.imageOpts(opts, 0)
+		src := im.cur
+		var dst *side
+		var counts *chunk.Counter
+		r.eng.Go("hv", func(p *sim.Proc) {
+			im.MigrationRequest(r.cl.Nodes[1])
+			dst, counts = im.dst, im.writeCount
+			im.Sync(p)
+		})
+		r.run(t)
+		if !im.Stats().Complete || im.cur != dst {
+			t.Fatalf("%v: migration incomplete", mode)
+		}
+		if src.content.Pages() != 0 || dst.content.Pages() != 0 {
+			t.Errorf("%v: content pages source %d, destination %d; want 0 and 0",
+				mode, src.content.Pages(), dst.content.Pages())
+		}
+		if counts.Allocated() {
+			t.Errorf("%v: write counts allocated for a VM that wrote nothing", mode)
+		}
+		if im.known != nil {
+			t.Errorf("%v: a dedup content set exists with Dedup off", mode)
+		}
+	}
+}
+
 func TestHybridQuiescentMigration(t *testing.T) {
 	r := newRig()
 	im := r.image(ModeHybrid, 0)
@@ -139,7 +174,7 @@ func TestHybridQuiescentMigration(t *testing.T) {
 		t.Fatal("active side not on destination")
 	}
 	// Content survived.
-	snap := im.ContentSnapshot()
+	snap := im.cur.content.Snapshot()
 	for c := 0; c < 64; c++ {
 		if snap[c] == 0 {
 			t.Fatalf("chunk %d lost content", c)
@@ -547,14 +582,14 @@ func TestRepeatedMigrationsChain(t *testing.T) {
 		p.Sleep(2)
 		im.Sync(p)
 		im.WaitComplete(p)
-		snap1 := im.ContentSnapshot()
+		snap1 := im.cur.content.Snapshot()
 		// Migrate again to a third node.
 		im.Write(p, 8*mb, 4*mb)
 		im.MigrationRequest(r.cl.Nodes[2])
 		p.Sleep(2)
 		im.Sync(p)
 		im.WaitComplete(p)
-		snap2 := im.ContentSnapshot()
+		snap2 := im.cur.content.Snapshot()
 		for c := 0; c < 32; c++ {
 			if snap2[c] != snap1[c] {
 				t.Errorf("chunk %d content changed across second migration", c)
@@ -629,7 +664,7 @@ func TestMigrationConsistencyProperty(t *testing.T) {
 				t.Logf("seed %d mode %v: migration incomplete", seed, mode)
 				return false
 			}
-			got := im.ContentSnapshot()
+			got := im.cur.content.Snapshot()
 			for c := 0; c < nChunks; c++ {
 				if shadow[c] != 0 && got[c] != shadow[c] {
 					t.Logf("seed %d mode %v: chunk %d content %d, want %d",

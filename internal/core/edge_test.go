@@ -169,7 +169,7 @@ func TestMirrorWriteBeforeBulkReachesDest(t *testing.T) {
 	}
 	// Chunk 0's content after migration must be the rewrite (the last write
 	// has the highest content ID among chunk 0's writes).
-	snap := im.ContentSnapshot()
+	snap := im.cur.content.Snapshot()
 	if snap[0] == 0 {
 		t.Fatal("chunk 0 lost content")
 	}

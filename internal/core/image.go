@@ -135,9 +135,9 @@ func (s Stats) WireBytes() float64 {
 // side is the manager state on one node.
 type side struct {
 	node     *fabric.Node
-	local    *chunk.Set // chunks available on the local disk
-	modified *chunk.Set // ModifiedSet of the paper
-	content  []uint64   // per-chunk content IDs (0 = base content)
+	local    *chunk.Set        // chunks available on the local disk
+	modified *chunk.Set        // ModifiedSet of the paper
+	content  chunk.IDs[uint64] // per-chunk content IDs (0 = base content), paged on first write
 }
 
 func newSide(node *fabric.Node, n int) *side {
@@ -145,7 +145,7 @@ func newSide(node *fabric.Node, n int) *side {
 		node:     node,
 		local:    chunk.NewSet(n),
 		modified: chunk.NewSet(n),
-		content:  make([]uint64, n),
+		content:  chunk.NewIDs[uint64](n),
 	}
 }
 
@@ -212,7 +212,7 @@ type Image struct {
 
 	released sim.Gate
 	seq      uint64
-	known    map[uint64]bool // content at destination, for dedup
+	known    map[uint64]bool // content at destination, for dedup; nil unless Dedup is on
 	stats    Stats
 
 	// OnDestInstall, when set, observes every chunk range installed at the
@@ -286,14 +286,6 @@ func (im *Image) Stats() Stats { return im.stats }
 // Mode returns the configured strategy.
 func (im *Image) Mode() Mode { return im.opts.Mode }
 
-// ContentSnapshot returns the active side's per-chunk content IDs (tests and
-// consistency checks). Index 0 means base content.
-func (im *Image) ContentSnapshot() []uint64 {
-	out := make([]uint64, len(im.cur.content))
-	copy(out, im.cur.content)
-	return out
-}
-
 // ModifiedCount returns the number of locally modified chunks on the active
 // side.
 func (im *Image) ModifiedCount() int { return im.cur.modified.Count() }
@@ -332,6 +324,14 @@ func (im *Image) nextContent() uint64 {
 		return 1 + im.seq%16 // shared pool IDs: low values
 	}
 	return 16 + im.seq
+}
+
+// markKnown records that content id is at the destination. Only dedup
+// reads the set, so without Dedup there is none to record into.
+func (im *Image) markKnown(id uint64) {
+	if im.known != nil {
+		im.known[id] = true
+	}
 }
 
 // chunkBytes sums the byte lengths of the given chunks.
@@ -387,7 +387,7 @@ const (
 // remaining/in-flight chunk (base fetches and prefetch are restricted to
 // chunks the source did not modify), so this is always false there.
 func (im *Image) staleBaseOwed(c chunk.Idx) bool {
-	return im.isDest() && im.cur.content[c] == 0 &&
+	return im.isDest() && im.cur.content.At(int(c)) == 0 &&
 		(im.remaining.Contains(c) || im.inFlight.Contains(c))
 }
 
@@ -462,10 +462,9 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	for c := first; c <= last; c++ {
 		side.local.Add(c)
 		side.modified.Add(c)
-		side.content[c] = im.nextContent()
-		if im.known != nil {
-			im.known[side.content[c]] = true
-		}
+		id := im.nextContent()
+		side.content.Set(int(c), id)
+		im.markKnown(id)
 		if im.isDest() {
 			im.dstFresh.Add(c)
 		}
@@ -491,7 +490,7 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 		for c := first; c <= last; c++ {
 			im.dst.local.Add(c)
 			im.dst.modified.Add(c)
-			im.dst.content[c] = side.content[c]
+			im.dst.content.Set(int(c), side.content.At(int(c)))
 			im.dstFresh.Add(c)
 		}
 	}

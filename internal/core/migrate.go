@@ -53,7 +53,10 @@ func (im *Image) MigrationRequest(dstNode *fabric.Node) {
 	im.bulkDone = sim.Gate{}
 	im.inFlight = chunk.NewSet(n)
 	im.dstFresh = chunk.NewSet(n)
-	im.known = make(map[uint64]bool)
+	im.known = nil
+	if im.opts.Dedup {
+		im.known = make(map[uint64]bool)
+	}
 	im.pullsActive = 0
 	im.pullSuspend = 0
 	im.xferFlows = im.xferFlows[:0]
@@ -96,7 +99,7 @@ func (im *Image) startPush() {
 			}
 			snapshot := make([]uint64, len(batch))
 			for i, c := range batch {
-				snapshot[i] = src.content[c]
+				snapshot[i] = src.content.At(int(c))
 			}
 			wire := im.wireBytes(p, batch, snapshot)
 			if im.migEpoch != epoch {
@@ -187,7 +190,7 @@ func (im *Image) startBulkCopy() {
 			for i := 0; i < n; i++ {
 				c := start + chunk.Idx(i)
 				batch = append(batch, c)
-				snapshot = append(snapshot, src.content[c])
+				snapshot = append(snapshot, src.content.At(int(c)))
 			}
 			wire := im.wireBytes(p, batch, snapshot)
 			p.Sleep(im.opts.PullRequestLatency + 2*im.cl.P.NetLatency)
@@ -240,8 +243,8 @@ func (im *Image) installAtDest(c chunk.Idx, content uint64) {
 	}
 	im.dst.local.Add(c)
 	im.dst.modified.Add(c) // differs from the base image on this side too
-	im.dst.content[c] = content
-	im.known[content] = true
+	im.dst.content.Set(int(c), content)
+	im.markKnown(content)
 	im.notifyInstall(c, c)
 }
 
@@ -360,9 +363,9 @@ func (im *Image) transferIOControl() {
 			hints = append(hints, chunkRun{first, last})
 		}
 	}
-	counts := im.writeCount.Snapshot()
+	counts := im.writeCount
 	if !im.opts.PullPriority {
-		counts = make([]uint32, len(counts)) // FIFO ablation: flat priority
+		counts = nil // FIFO ablation: flat priority
 	}
 	im.promoteDest()
 	im.state = stPulling
@@ -430,7 +433,7 @@ func (im *Image) pullChunks(p *sim.Proc, batch []chunk.Idx, onDemand bool) {
 	}
 	snapshot := make([]uint64, len(batch))
 	for i, c := range batch {
-		snapshot[i] = src.content[c]
+		snapshot[i] = src.content.At(int(c))
 	}
 	wire := im.wireBytes(p, batch, snapshot)
 	im.pullsActive++
@@ -459,8 +462,8 @@ func (im *Image) pullChunks(p *sim.Proc, batch []chunk.Idx, onDemand bool) {
 		}
 		im.cur.local.Add(c)
 		im.cur.modified.Add(c)
-		im.cur.content[c] = snapshot[i]
-		im.known[snapshot[i]] = true
+		im.cur.content.Set(int(c), snapshot[i])
+		im.markKnown(snapshot[i])
 		im.notifyInstall(c, c)
 	}
 	gate.Open(im.eng)

@@ -196,11 +196,7 @@ func TestGuestPausedExactlyDuringDowntime(t *testing.T) {
 func TestCOWImageReadWrite(t *testing.T) {
 	r := newRig(t)
 	base := r.fs.Create("base", imageSize)
-	ids := make([]pfs.ContentID, base.Stripes())
-	for i := range ids {
-		ids[i] = pfs.ContentID(i + 1)
-	}
-	base.PutContent(ids)
+	base.PutBase(1)
 	im := NewCOWImage(r.cl, r.cl.Nodes[0], r.geo, base, nil)
 	r.eng.Go("io", func(p *sim.Proc) {
 		im.Read(p, 0, 1*mb) // base read via PFS
@@ -301,7 +297,7 @@ func TestSharedImageAllIOOverNetwork(t *testing.T) {
 	if got := r.cl.Net.BytesByTag(flow.TagPFS); got != 9*mb {
 		t.Fatalf("PFS traffic = %v, want 9 MB (4 write + 5 read)", got)
 	}
-	snapChunk := im.ContentSnapshot()[0]
+	snapChunk := im.content.Snapshot()[0]
 	if snapChunk == 0 {
 		t.Fatal("snapshot content not recorded")
 	}
@@ -330,7 +326,7 @@ func TestSharedImageMigrationIsMemoryOnly(t *testing.T) {
 		t.Fatal("image client side not rehomed")
 	}
 	// Content written before migration is still visible after (shared).
-	if im.ContentSnapshot()[0] == 0 {
+	if im.content.Snapshot()[0] == 0 {
 		t.Fatal("shared content lost across migration")
 	}
 }

@@ -22,8 +22,8 @@ type COWImage struct {
 	base    *pfs.File
 	backing vm.DiskImage // host-cached local qcow2 file (nil = raw disk time)
 
-	local    *chunk.Set // chunks allocated in the COW snapshot
-	content  []uint64   // content IDs of allocated chunks
+	local    *chunk.Set        // chunks allocated in the COW snapshot
+	content  chunk.IDs[uint64] // content IDs of allocated chunks, paged on first write
 	seq      uint64
 	tracking bool       // block-dirty log armed (during migration)
 	dirty    *chunk.Set // blocks dirtied since last collection
@@ -51,7 +51,7 @@ func NewCOWImage(cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, base
 		base:    base,
 		backing: backing,
 		local:   chunk.NewSet(geo.Chunks()),
-		content: make([]uint64, geo.Chunks()),
+		content: chunk.NewIDs[uint64](geo.Chunks()),
 		dirty:   chunk.NewSet(geo.Chunks()),
 	}
 }
@@ -79,13 +79,6 @@ func (im *COWImage) Node() *fabric.Node { return im.node }
 
 // Geometry implements vm.DiskImage.
 func (im *COWImage) Geometry() chunk.Geometry { return im.geo }
-
-// ContentSnapshot returns a copy of the per-chunk content IDs (tests).
-func (im *COWImage) ContentSnapshot() []uint64 {
-	out := make([]uint64, len(im.content))
-	copy(out, im.content)
-	return out
-}
 
 // LocalSet returns the allocated-chunk set (tests).
 func (im *COWImage) LocalSet() *chunk.Set { return im.local }
@@ -164,7 +157,7 @@ func (im *COWImage) Write(p *sim.Proc, off, length int64) {
 	}
 	for c := first; c <= last; c++ {
 		im.seq++
-		im.content[c] = im.seq
+		im.content.Set(int(c), im.seq)
 	}
 }
 
@@ -270,9 +263,6 @@ func (im *SharedImage) MoveTo(node *fabric.Node) { im.node = node }
 
 // Geometry implements vm.DiskImage.
 func (im *SharedImage) Geometry() chunk.Geometry { return im.geo }
-
-// ContentSnapshot returns per-chunk content IDs (tests).
-func (im *SharedImage) ContentSnapshot() []uint64 { return im.content.Snapshot() }
 
 // Read implements vm.DiskImage: written chunks come from the snapshot file,
 // untouched ones from the base file — all over the PFS.

@@ -99,12 +99,11 @@ func (f *File) Stripes() int { return f.content.Len() }
 // ContentAt returns the content ID of stripe i.
 func (f *File) ContentAt(i int) ContentID { return f.content.At(i) }
 
-// PutContent seeds file content without simulating the upload.
-func (f *File) PutContent(ids []ContentID) {
-	if len(ids) != f.content.Len() {
-		panic("pfs: PutContent stripe count mismatch")
-	}
-	f.content.Put(ids)
+// PutBase installs base content without simulating the upload: stripe i
+// reads first+i until it is written. The IDs are implicit, so a base file
+// stores no table.
+func (f *File) PutBase(first ContentID) {
+	f.content = chunk.NewBaseIDs(f.content.Len(), first)
 }
 
 // stripeLen returns the byte length of stripe i.

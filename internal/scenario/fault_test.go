@@ -380,6 +380,42 @@ func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadGeometry: a WithConfig cluster whose image, chunk
+// or stripe size is not positive, or whose chunk and stripe sizes do not
+// nest, fails validation. Each used to pass and then panic inside Run.
+func TestValidateRejectsBadGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *cluster.Config)
+	}{
+		{"chunk size zero", func(c *cluster.Config) { c.Testbed.ChunkSize = 0 }},
+		{"chunk size negative", func(c *cluster.Config) { c.Testbed.ChunkSize = -c.Repo.StripeSize }},
+		{"image size zero", func(c *cluster.Config) { c.Testbed.ImageSize = 0 }},
+		{"stripe size zero", func(c *cluster.Config) { c.Repo.StripeSize = 0 }},
+		{"stripe not nesting with chunk", func(c *cluster.Config) { c.Repo.StripeSize = c.Testbed.ChunkSize * 3 / 2 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("Run panicked: %v", v)
+				}
+			}()
+			set := NewSetup(ScaleSmall, 4)
+			c.edit(&set.Cluster)
+			s := New(WithConfig(set.Cluster)).
+				AddVM(VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach, Workload: IOR(&set.IOR)}).
+				MigrateAt("a", 1, 1)
+			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			if res, err := s.Run(); !errors.Is(err, ErrInvalidScenario) || res != nil {
+				t.Errorf("Run = (%v, %v), want (nil, ErrInvalidScenario)", res, err)
+			}
+		})
+	}
+}
+
 // TestCampaignWithFaultsRetries: a campaign under a crash fault records the
 // retry in the campaign aggregates too.
 func TestCampaignWithFaultsRetries(t *testing.T) {

@@ -635,7 +635,28 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if err := validateTestbed(cfg.Testbed); err != nil {
 		return zero, Setup{}, nil, err
 	}
+	if err := validateGeometry(cfg.Testbed, cfg.Repo); err != nil {
+		return zero, Setup{}, nil, err
+	}
 	return cfg, set, byName, nil
+}
+
+// validateGeometry requires positive image, chunk and repository stripe
+// sizes, and chunk and stripe sizes that nest (one divides the other).
+// Building the testbed or a migration manager panics on any other geometry.
+func validateGeometry(tb params.Testbed, repo params.Repository) error {
+	for _, sz := range [...]struct {
+		name string
+		v    int64
+	}{{"image", tb.ImageSize}, {"chunk", tb.ChunkSize}, {"repository stripe", repo.StripeSize}} {
+		if sz.v <= 0 {
+			return invalidf("testbed %s size %d is not positive", sz.name, sz.v)
+		}
+	}
+	if tb.ChunkSize%repo.StripeSize != 0 && repo.StripeSize%tb.ChunkSize != 0 {
+		return invalidf("chunk size %d and repository stripe size %d do not nest", tb.ChunkSize, repo.StripeSize)
+	}
+	return nil
 }
 
 // validateTestbed requires every link bandwidth of the testbed to be finite
