@@ -48,6 +48,35 @@ func FlowChurn(b *testing.B, flows int, shared bool) {
 	e.Stop()
 }
 
+// FlowRetireTransparent measures one flow start+cancel against a standing
+// population of flows that each cross an opaque link of their own plus one
+// shared fabric link that stays transparent. Every flow is listed on the
+// fabric link but none couples to another, so no fill grows with the
+// population: only retiring the churned flow from the fabric link's list
+// could, and that must cost the same for any population.
+func FlowRetireTransparent(b *testing.B, flows int) {
+	e := sim.New()
+	n := flow.NewNet(e)
+	fabric := flow.NewLink("fabric", float64(flows+2)*1e9)
+	for i := 0; i < flows; i++ {
+		l := flow.NewLink(fmt.Sprintf("l%d", i), 1e9)
+		n.Start(&flow.Flow{Links: []*flow.Link{l, fabric}, Size: 1e15})
+	}
+	churnPath := []*flow.Link{flow.NewLink("churn", 1e9), fabric}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := n.AcquireFlow()
+		f.Links = churnPath
+		f.Size = 1e15
+		n.Start(f)
+		n.Cancel(f)
+		n.ReleaseFlow(f)
+	}
+	b.StopTimer()
+	e.Stop()
+}
+
 // AfterFire is the headline event-path scenario: schedule one timer and
 // fire it. Must run at 0 allocs/op (pooled event records, value Timer
 // handles).

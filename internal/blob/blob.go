@@ -38,6 +38,13 @@ type Store struct {
 	reads      uint64
 	readBytes  float64
 	perServer  []float64 // bytes served per server, for balance tests
+	fan        *fabric.FanOut
+
+	// reqBytes and reqOrder are transfer's scratch: the bytes one request
+	// addresses on each server, indexed like Servers, and the servers in
+	// first-touch order. They are only used between two yields.
+	reqBytes []int64
+	reqOrder []int
 }
 
 // NewStore creates a repository over the given server nodes.
@@ -59,6 +66,8 @@ func NewStore(c *fabric.Cluster, servers []*fabric.Node, p params.Repository) *S
 		Servers:   servers,
 		P:         p,
 		perServer: make([]float64, len(servers)),
+		fan:       fabric.NewFanOut(c, servers, flow.TagRepo),
+		reqBytes:  make([]int64, len(servers)),
 	}
 }
 
@@ -131,47 +140,62 @@ func (b *Blob) stripeServer(i, round int) int {
 func (b *Blob) replicaServer(i, r int) int { return (i + r) % len(b.Store.Servers) }
 
 // Read fetches stripes [first, first+count) to the client node, blocking
-// until all data has arrived. It issues one flow per contiguous same-server
-// run (round-robin placement means runs are usually one stripe long, which
-// is exactly what spreads a big read over many servers). Returns the content
-// IDs of the stripes read.
+// until all data has arrived. It issues one flow per server, covering every
+// stripe of the request that server holds (round-robin placement spreads a
+// big read over many servers). Returns the content IDs of the stripes read.
 func (b *Blob) Read(p *sim.Proc, client *fabric.Node, first, count int) []ContentID {
 	if first < 0 || count <= 0 || first+count > b.content.Len() {
 		panic(fmt.Sprintf("blob: read [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
 	}
-	s := b.Store
-	p.Sleep(s.P.MetadataLatency)
-	round := s.nextRead
-	s.nextRead++
-	// Group the stripes by chosen server.
-	perServer := make(map[int]int64)
-	order := make([]int, 0, 4)
-	for i := first; i < first+count; i++ {
-		srv := b.stripeServer(i, round)
-		if _, ok := perServer[srv]; !ok {
-			order = append(order, srv)
-		}
-		perServer[srv] += b.stripeLen(i)
-	}
-	var wg sim.WaitGroup
-	eng := s.Cluster.Eng
-	for _, srv := range order {
-		bytes := float64(perServer[srv])
-		server := s.Servers[srv]
-		wg.Add(1)
-		s.reads++
-		s.readBytes += bytes
-		s.perServer[srv] += bytes
-		s.Cluster.TransferFlowPath(s.Cluster.RemoteReadPath(server, client), bytes, flow.TagRepo, func() {
-			wg.Done(eng)
-		})
-	}
-	wg.Wait(p)
+	b.read(p, client, first, count)
 	out := make([]ContentID, count)
 	for i := range out {
 		out[i] = b.content.At(first + i)
 	}
 	return out
+}
+
+// read is Read without collecting the content IDs.
+func (b *Blob) read(p *sim.Proc, client *fabric.Node, first, count int) {
+	s := b.Store
+	p.Sleep(s.P.MetadataLatency)
+	round := s.nextRead
+	s.nextRead++
+	b.transfer(p, client, first, count, round, false)
+}
+
+// transfer moves stripes [first, first+count) between the client and the
+// servers holding them, one flow per server in first-touch order, and
+// blocks until every flow has completed. A read takes replica
+// (i+round) mod R of stripe i, a write its primary.
+func (b *Blob) transfer(p *sim.Proc, client *fabric.Node, first, count, round int, write bool) {
+	s := b.Store
+	order := s.reqOrder[:0]
+	for i := first; i < first+count; i++ {
+		srv := b.replicaServer(i, 0)
+		if !write {
+			srv = b.stripeServer(i, round)
+		}
+		if s.reqBytes[srv] == 0 {
+			order = append(order, srv)
+		}
+		s.reqBytes[srv] += b.stripeLen(i)
+	}
+	s.reqOrder = order
+	req := s.fan.Begin()
+	for _, srv := range order {
+		bytes := float64(s.reqBytes[srv])
+		s.reqBytes[srv] = 0
+		if write {
+			req.Write(client, srv, bytes)
+		} else {
+			s.reads++
+			s.readBytes += bytes
+			s.perServer[srv] += bytes
+			req.Read(srv, client, bytes)
+		}
+	}
+	req.Wait(p)
 }
 
 // ReadAsync starts fetching stripes [first, first+count) to the client and
@@ -221,28 +245,8 @@ func (b *Blob) Write(p *sim.Proc, client *fabric.Node, first int, ids []ContentI
 	if first < 0 || count == 0 || first+count > b.content.Len() {
 		panic(fmt.Sprintf("blob: write [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
 	}
-	s := b.Store
-	p.Sleep(s.P.MetadataLatency)
-	perServer := make(map[int]int64)
-	order := make([]int, 0, 4)
-	for i := first; i < first+count; i++ {
-		srv := b.replicaServer(i, 0)
-		if _, ok := perServer[srv]; !ok {
-			order = append(order, srv)
-		}
-		perServer[srv] += b.stripeLen(i)
-	}
-	var wg sim.WaitGroup
-	eng := s.Cluster.Eng
-	for _, srv := range order {
-		bytes := float64(perServer[srv])
-		server := s.Servers[srv]
-		wg.Add(1)
-		s.Cluster.TransferFlowPath(s.Cluster.RemoteWritePath(client, server), bytes, flow.TagRepo, func() {
-			wg.Done(eng)
-		})
-	}
-	wg.Wait(p)
+	p.Sleep(b.Store.P.MetadataLatency)
+	b.transfer(p, client, first, count, 0, true)
 	for i, id := range ids {
 		b.content.Set(first+i, id)
 	}
@@ -262,7 +266,7 @@ func (b *Blob) StripeSpan(off, length int64) (first, count int) {
 // ReadRange is Read addressed in bytes instead of stripes.
 func (b *Blob) ReadRange(p *sim.Proc, client *fabric.Node, off, length int64) {
 	first, count := b.StripeSpan(off, length)
-	b.Read(p, client, first, count)
+	b.read(p, client, first, count)
 }
 
 // ReadRangeAsync is ReadAsync addressed in bytes instead of stripes.

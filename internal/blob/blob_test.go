@@ -301,3 +301,52 @@ func TestReadWriteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRequestAllocs pins a warmed request's allocations: its flows come
+// from the net's pool, its paths from the per-client cache and the request
+// itself from the fan-out's free list, so only Read's returned content IDs
+// are allocated.
+func TestRequestAllocs(t *testing.T) {
+	ids := []ContentID{7, 8, 9, 10}
+	for _, tc := range []struct {
+		name string
+		req  func(p *sim.Proc, b *Blob, client *fabric.Node)
+		want float64
+	}{
+		{"write", func(p *sim.Proc, b *Blob, client *fabric.Node) { b.Write(p, client, 1, ids) }, 0},
+		{"read range", func(p *sim.Proc, b *Blob, client *fabric.Node) { b.ReadRange(p, client, 150, 400) }, 0},
+		{"read", func(p *sim.Proc, b *Blob, client *fabric.Node) { b.Read(p, client, 1, 4) }, 1},
+	} {
+		eng, c, st := testStore(3, 2)
+		b, client := st.Create(1000), c.Nodes[4]
+		a := requestAllocs(t, eng, func(p *sim.Proc) { tc.req(p, b, client) })
+		eng.Stop()
+		if a != tc.want {
+			t.Errorf("%s: %v allocations per request, want %v", tc.name, a, tc.want)
+		}
+	}
+}
+
+// requestAllocs runs req in a loop in one process and returns the
+// allocations per request after a warm-up.
+func requestAllocs(t *testing.T, eng *sim.Engine, req func(p *sim.Proc)) float64 {
+	t.Helper()
+	done := 0
+	eng.Go("client", func(p *sim.Proc) {
+		for {
+			req(p)
+			done++
+		}
+	})
+	one := func() {
+		for want := done + 1; done < want; {
+			if !eng.Step() {
+				t.Fatal("engine ran dry")
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		one()
+	}
+	return testing.AllocsPerRun(50, one)
+}

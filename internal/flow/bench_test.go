@@ -28,6 +28,16 @@ func BenchmarkRecomputeShared(b *testing.B) {
 	}
 }
 
+// BenchmarkRetireTransparent churns one flow against standing flows that
+// share only a transparent fabric link: the cost must stay flat in N.
+func BenchmarkRetireTransparent(b *testing.B) {
+	for _, flows := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			benchscen.FlowRetireTransparent(b, flows)
+		})
+	}
+}
+
 // BenchmarkRecomputeBurst starts a burst of flows at one instant, lets the
 // instant's flush fill their components, and cancels them.
 func BenchmarkRecomputeBurst(b *testing.B) { burstChurn(b) }

@@ -217,33 +217,76 @@ func (l *Link) subUB(f *Flow) {
 	}
 }
 
-func (l *Link) removeFromList(f *Flow) {
-	for i, g := range l.flows {
-		if g == f {
-			last := len(l.flows) - 1
-			l.flows[i] = l.flows[last]
-			l.flows[last] = nil
-			l.flows = l.flows[:last]
+// listOn appends the flow to the loose list of its k-th link and records
+// the slot.
+func (f *Flow) listOn(k int) {
+	l := f.Links[k]
+	f.pos[k] = int32(len(l.flows))
+	l.flows = append(l.flows, f)
+}
+
+// unlist removes the flow from l's loose list in O(path length): of the
+// flow's listings on l it takes the one nearest the front and moves the
+// list's last entry into the hole. That is what a scan for the flow
+// followed by a swap with the last entry does, and the list order must be
+// exactly that one: it is the component collection order and the settle
+// order, which fix every float of a fill.
+func (f *Flow) unlist(l *Link) {
+	if h := f.net.unlistHook; h != nil {
+		h(l, f)
+	}
+	k := -1
+	for j, lk := range f.Links {
+		if lk == l && f.pos[j] >= 0 && (k < 0 || f.pos[j] < f.pos[k]) {
+			k = j
+		}
+	}
+	i := f.pos[k]
+	f.pos[k] = -1
+	last := int32(len(l.flows) - 1)
+	m := l.flows[last]
+	l.flows[i] = m
+	l.flows[last] = nil
+	l.flows = l.flows[:last]
+	if i == last {
+		return
+	}
+	for j, lk := range m.Links {
+		if lk == l && m.pos[j] == last {
+			m.pos[j] = i
 			return
 		}
 	}
 }
 
-// Flow is a bulk transfer in progress.
+// maxPathLinks is the longest path a flow may cross: a disk-to-disk stream
+// (source disk, NIC out, fabric, NIC in, destination disk).
+const maxPathLinks = 5
+
+// Flow is a bulk transfer in progress. Its path holds at most five links;
+// Start panics on a longer one, because each listing's slot is kept inline.
 type Flow struct {
 	Links   []*Link // resources traversed; may be empty for an infinitely fast local transfer
 	Size    float64 // total bytes
 	MaxRate float64 // per-flow cap in bytes/s; 0 means uncapped
+	OnDone  func()  // optional completion callback, runs in engine context
 	Tag     Tag
-	OnDone  func() // optional completion callback, runs in engine context
+
+	// The small fields sit together so that a Flow stays in the 240-byte
+	// allocation size class (TestFlowSizeClass).
+	frozen  bool // scratch for progressive filling
+	active  bool
+	index   int32 // position in net.flows
+	heapIdx int32 // position in net.compHeap, -1 while inactive
+	gIdx    int32 // position in group.members, -1 once removed
+	// pos[k] is the flow's position in Links[k].flows, or -1 where it is
+	// not listed: on its rate group's home link.
+	pos [maxPathLinks]int32
 
 	remaining float64
 	rate      float64
-	frozen    bool // scratch for progressive filling
-	active    bool
 	doneCond  sim.Cond
 	net       *Net
-	index     int // position in net.flows
 
 	// incremental-allocation state. Byte integration is anchored at the
 	// flow's last rate change: remaining at time t is always computed as
@@ -257,7 +300,6 @@ type Flow struct {
 	anchorT    sim.Time // time of the last rate change
 	anchorRem  float64  // remaining bytes at the last rate change
 	compT      sim.Time // projected completion time; +Inf while stalled
-	heapIdx    int      // position in net.compHeap, -1 while inactive
 	seq        uint64   // activation order, tie-break in the completion heap
 	mark       uint64   // epoch stamp for component collection
 	prevRate   float64  // rate before the current component recompute
@@ -266,7 +308,6 @@ type Flow struct {
 	// group's cumulative progress; its rate is the group's shared rate cell;
 	// only the group's earliest-finishing member sits in net.compHeap.
 	group   *rateGroup // nil while loose
-	gIdx    int        // position in group.members, -1 once removed
 	finishP float64    // group progress value at which this flow completes
 
 	// Two smallest link capacities on the path (for the saturability bound):
@@ -357,6 +398,10 @@ type Net struct {
 	spans      []compSpan // per-component scratch of a flush
 
 	stats Stats
+
+	// unlistHook, when set, sees every removal from a loose list before it
+	// happens; tests replay the removals on a scan-and-swap model.
+	unlistHook func(l *Link, f *Flow)
 }
 
 // compSpan delimits one component collected by reflow: its entries start
@@ -470,8 +515,8 @@ func (g *rateGroup) gLess(i, j int) bool {
 func (g *rateGroup) gSwap(i, j int) {
 	m := g.members
 	m[i], m[j] = m[j], m[i]
-	m[i].gIdx = i
-	m[j].gIdx = j
+	m[i].gIdx = int32(i)
+	m[j].gIdx = int32(j)
 }
 
 func (g *rateGroup) gUp(i int) {
@@ -524,9 +569,9 @@ func (n *Net) insertMember(g *rateGroup, f *Flow) {
 	if len(g.members) > 0 {
 		oldRep = g.members[0]
 	}
-	f.gIdx = len(g.members)
+	f.gIdx = int32(len(g.members))
 	g.members = append(g.members, f)
-	g.gUp(f.gIdx)
+	g.gUp(int(f.gIdx))
 	if g.members[0] == f {
 		if oldRep != nil {
 			n.heapRemove(oldRep)
@@ -548,7 +593,7 @@ func (n *Net) insertMember(g *rateGroup, f *Flow) {
 // they clear or reuse it.
 func (n *Net) popMember(g *rateGroup, f *Flow) {
 	wasRep := g.members[0] == f
-	i := f.gIdx
+	i := int(f.gIdx)
 	last := len(g.members) - 1
 	if i != last {
 		g.gSwap(i, last)
@@ -607,7 +652,11 @@ func (n *Net) leaveToLoose(f *Flow) {
 	} else {
 		f.compT = math.Inf(1)
 	}
-	g.link.flows = append(g.link.flows, f)
+	for k, l := range f.Links {
+		if l == g.link {
+			f.listOn(k)
+		}
+	}
 	n.heapPush(f)
 	// If the group was already collected into the component under
 	// construction, the expansion pass may have run past its link: enter the
@@ -630,7 +679,7 @@ func (n *Net) joinGroup(f *Flow, L *Link) {
 		g = &rateGroup{link: L}
 		L.group = g
 	}
-	L.removeFromList(f)
+	f.unlist(L)
 	n.insertMember(g, f)
 	// Mirror of the leaveToLoose case: if the joining flow was already part
 	// of the component under construction, its new group's rate must be
@@ -725,6 +774,9 @@ func (n *Net) Start(f *Flow) {
 	if f.Size < 0 || math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
 		panic(fmt.Sprintf("flow: invalid size %v", f.Size))
 	}
+	if len(f.Links) > maxPathLinks {
+		panic(fmt.Sprintf("flow: path of %d links exceeds %d", len(f.Links), maxPathLinks))
+	}
 	f.net = n
 	f.remaining = f.Size
 	if f.Size <= epsBytes {
@@ -745,7 +797,7 @@ func (n *Net) Start(f *Flow) {
 	f.heapIdx = -1
 	f.seq = n.startSeq
 	n.startSeq++
-	f.index = len(n.flows)
+	f.index = int32(len(n.flows))
 	n.flows = append(n.flows, f)
 	f.minCap, f.minCap2, f.minCapLink = math.Inf(1), math.Inf(1), nil
 	for _, l := range f.Links {
@@ -772,9 +824,11 @@ func (n *Net) Start(f *Flow) {
 	}
 	f.group, f.gIdx = nil, -1
 	if L := n.groupLinkFor(f); L != nil {
-		for _, l := range f.Links {
+		for k, l := range f.Links {
 			if l != L {
-				l.flows = append(l.flows, f)
+				f.listOn(k)
+			} else {
+				f.pos[k] = -1
 			}
 		}
 		g := L.group
@@ -784,8 +838,8 @@ func (n *Net) Start(f *Flow) {
 		}
 		n.insertMember(g, f)
 	} else {
-		for _, l := range f.Links {
-			l.flows = append(l.flows, f)
+		for k := range f.Links {
+			f.listOn(k)
 		}
 		n.heapPush(f)
 	}
@@ -1104,7 +1158,7 @@ func (n *Net) deactivate(f *Flow) {
 	n.flipped = n.flipped[:0]
 	for _, l := range f.Links {
 		if g == nil || l != g.link {
-			l.removeFromList(f)
+			f.unlist(l)
 		}
 		wasT := l.transparent()
 		l.subUB(f)
@@ -1555,8 +1609,8 @@ func (n *Net) heapLess(i, j int) bool {
 func (n *Net) heapSwap(i, j int) {
 	h := n.compHeap
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
 }
 
 func (n *Net) heapUp(i int) {
@@ -1590,18 +1644,18 @@ func (n *Net) heapDown(i int) {
 }
 
 func (n *Net) heapPush(f *Flow) {
-	f.heapIdx = len(n.compHeap)
+	f.heapIdx = int32(len(n.compHeap))
 	n.compHeap = append(n.compHeap, f)
-	n.heapUp(f.heapIdx)
+	n.heapUp(int(f.heapIdx))
 }
 
 func (n *Net) heapFix(f *Flow) {
-	n.heapDown(f.heapIdx)
-	n.heapUp(f.heapIdx)
+	n.heapDown(int(f.heapIdx))
+	n.heapUp(int(f.heapIdx))
 }
 
 func (n *Net) heapRemove(f *Flow) {
-	i := f.heapIdx
+	i := int(f.heapIdx)
 	if i < 0 {
 		return
 	}

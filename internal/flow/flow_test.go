@@ -555,7 +555,7 @@ func checkCompletionHeap(t *testing.T, n *Net) {
 	t.Helper()
 	h := n.compHeap
 	for i, f := range h {
-		if f.heapIdx != i {
+		if int(f.heapIdx) != i {
 			t.Fatalf("heapIdx mismatch at %d: %d", i, f.heapIdx)
 		}
 		if i > 0 {

@@ -39,6 +39,8 @@ type FS struct {
 	writeBytes float64
 	requests   uint64
 
+	fan *fabric.FanOut
+
 	// perServer is io's scratch, indexed like Servers: the bytes one
 	// request addresses on each server. It is only used between two yields.
 	perServer []float64
@@ -54,7 +56,7 @@ func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
 		panic("pfs: stripe size must be positive")
 	}
 	return &FS{Cluster: c, Servers: servers, P: p, files: make(map[string]*File),
-		perServer: make([]float64, len(servers))}
+		fan: fabric.NewFanOut(c, servers, flow.TagPFS), perServer: make([]float64, len(servers))}
 }
 
 // ReadBytes returns total bytes served to readers.
@@ -153,24 +155,19 @@ func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write boo
 		remaining -= b
 		perServer[i%ns] += float64(b)
 	}
-	var wg sim.WaitGroup
-	eng := fs.Cluster.Eng
-	done := func() { wg.Done(eng) }
+	req := fs.fan.Begin()
 	for k := 0; k < touched; k++ {
 		s := (first + k) % ns
-		srv, bytes := fs.Servers[s], perServer[s]
-		var path []*flow.Link
+		bytes := perServer[s]
 		if write {
-			path = fs.Cluster.RemoteWritePath(client, srv)
 			fs.writeBytes += bytes
+			req.Write(client, s, bytes)
 		} else {
-			path = fs.Cluster.RemoteReadPath(srv, client)
 			fs.readBytes += bytes
+			req.Read(s, client, bytes)
 		}
-		wg.Add(1)
-		fs.Cluster.TransferFlowPath(path, bytes, flow.TagPFS, done)
 	}
-	wg.Wait(p)
+	req.Wait(p)
 }
 
 // Read fetches [off, off+length) to the client, blocking until complete.

@@ -123,3 +123,48 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	f.span(50, 100)
 }
+
+// TestRequestAllocs pins a warmed request at zero allocations: its flows
+// come from the net's pool, its paths from the per-client cache and the
+// request itself from the fan-out's free list.
+func TestRequestAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  func(p *sim.Proc, f *File, client *fabric.Node)
+	}{
+		{"write", func(p *sim.Proc, f *File, client *fabric.Node) { f.Write(p, client, 150, 400, 42) }},
+		{"read", func(p *sim.Proc, f *File, client *fabric.Node) { f.Read(p, client, 150, 400) }},
+	} {
+		eng, c, fs := testFS(3)
+		f, client := fs.Create("f", 1000), c.Nodes[4]
+		a := requestAllocs(t, eng, func(p *sim.Proc) { tc.req(p, f, client) })
+		eng.Stop()
+		if a != 0 {
+			t.Errorf("%s: %v allocations per request, want 0", tc.name, a)
+		}
+	}
+}
+
+// requestAllocs runs req in a loop in one process and returns the
+// allocations per request after a warm-up.
+func requestAllocs(t *testing.T, eng *sim.Engine, req func(p *sim.Proc)) float64 {
+	t.Helper()
+	done := 0
+	eng.Go("client", func(p *sim.Proc) {
+		for {
+			req(p)
+			done++
+		}
+	})
+	one := func() {
+		for want := done + 1; done < want; {
+			if !eng.Step() {
+				t.Fatal("engine ran dry")
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		one()
+	}
+	return testing.AllocsPerRun(50, one)
+}

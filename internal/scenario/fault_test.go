@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -375,6 +376,28 @@ func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
 			}
 			if res != nil {
 				t.Errorf("validation failure returned a result")
+			}
+		})
+	}
+}
+
+// TestValidateRejectsBadMetadataLatency: a WithConfig cluster whose
+// repository metadata latency is NaN, +Inf or negative fails validation.
+// The PFS and the repository sleep it on every request, so NaN and +Inf
+// used to pass and then crash the run at the first guest I/O of a
+// pvfs-shared VM, and a negative value ran silently as zero.
+func TestValidateRejectsBadMetadataLatency(t *testing.T) {
+	for _, lat := range []float64{math.NaN(), math.Inf(1), -1} {
+		t.Run(fmt.Sprint(lat), func(t *testing.T) {
+			set := NewSetup(ScaleSmall, 4)
+			set.Cluster.Repo.MetadataLatency = lat
+			s := New(WithConfig(set.Cluster)).
+				AddVM(VMSpec{Name: "vm0", Node: 0, Approach: cluster.PVFSShared, Workload: IOR(&set.IOR)})
+			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			if res, err := s.Run(); !errors.Is(err, ErrInvalidScenario) || res != nil {
+				t.Errorf("Run = (%v, %v), want (nil, ErrInvalidScenario)", res, err)
 			}
 		})
 	}

@@ -635,6 +635,11 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if err := validateTestbed(cfg.Testbed); err != nil {
 		return zero, Setup{}, nil, err
 	}
+	// Every PFS and repository request sleeps this long: a non-finite value
+	// would crash the run at its first request, a negative one run as zero.
+	if lat := cfg.Repo.MetadataLatency; !finite(lat) || lat < 0 {
+		return zero, Setup{}, nil, invalidf("repository metadata latency %g is not a finite non-negative time", lat)
+	}
 	if err := validateGeometry(cfg.Testbed, cfg.Repo); err != nil {
 		return zero, Setup{}, nil, err
 	}
