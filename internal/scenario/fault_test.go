@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
 	"github.com/hybridmig/hybridmig/internal/params"
@@ -436,6 +438,102 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 				t.Errorf("Run = (%v, %v), want (nil, ErrInvalidScenario)", res, err)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsBadWorkloadParams: workload parameters a run cannot
+// survive fail validation. Each case used to pass it: the IOR block size of
+// zero then spun forever, the others ended in a process panic.
+func TestValidateRejectsBadWorkloadParams(t *testing.T) {
+	set := NewSetup(ScaleSmall, 4)
+	ior := func(edit func(p *params.IOR)) WorkloadSpec {
+		p := set.IOR
+		edit(&p)
+		return IOR(&p)
+	}
+	awr := func(edit func(p *params.AsyncWR)) WorkloadSpec {
+		p := set.AsyncWR
+		edit(&p)
+		return AsyncWR(&p, 0)
+	}
+	rw := func(edit func(p *params.Rewrite)) WorkloadSpec {
+		p := params.DefaultRewrite()
+		edit(&p)
+		return Rewrite(&p)
+	}
+	cases := []struct {
+		name string
+		w    WorkloadSpec
+	}{
+		{"IOR block size zero", ior(func(p *params.IOR) { p.BlockSize = 0 })},
+		{"IOR block size negative", ior(func(p *params.IOR) { p.BlockSize = -p.BlockSize })},
+		{"IOR file size negative", ior(func(p *params.IOR) { p.FileSize = -1 })},
+		{"IOR iterations negative", ior(func(p *params.IOR) { p.Iterations = -1 })},
+		{"AsyncWR compute time NaN", awr(func(p *params.AsyncWR) { p.ComputeTime = math.NaN() })},
+		{"AsyncWR compute time negative", awr(func(p *params.AsyncWR) { p.ComputeTime = -1 })},
+		{"AsyncWR dirty rate +Inf", awr(func(p *params.AsyncWR) { p.MemoryDirtyRate = math.Inf(1) })},
+		{"AsyncWR data per iteration negative", awr(func(p *params.AsyncWR) { p.DataPerIter = -1 })},
+		{"Rewrite interval NaN", rw(func(p *params.Rewrite) { p.Interval = math.NaN() })},
+		{"Rewrite interval negative", rw(func(p *params.Rewrite) { p.Interval = -1 })},
+		{"Rewrite hot size negative", rw(func(p *params.Rewrite) { p.HotBytes = -1 })},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(WithConfig(set.Cluster)).
+				AddVM(VMSpec{Name: "vm0", Node: 0, Approach: cluster.OurApproach, Workload: c.w})
+			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			if res, err := s.Run(); !errors.Is(err, ErrInvalidScenario) || res != nil {
+				t.Errorf("Run = (%v, %v), want (nil, ErrInvalidScenario)", res, err)
+			}
+		})
+	}
+}
+
+// TestValidateRejectsBadCM1Params: the CM1 ranks' times, rates and sizes
+// get the same checks as a per-VM workload's.
+func TestValidateRejectsBadCM1Params(t *testing.T) {
+	for _, edit := range []func(p *params.CM1){
+		func(p *params.CM1) { p.ComputePerIntvl = math.NaN() },
+		func(p *params.CM1) { p.ComputePerIntvl = -1 },
+		func(p *params.CM1) { p.MemoryDirtyRate = math.Inf(1) },
+		func(p *params.CM1) { p.OutputSize = -1 },
+		func(p *params.CM1) { p.HaloBytes = -1 },
+	} {
+		p := params.CM1{Procs: 1, GridX: 1, GridY: 1, Intervals: 1, ComputePerIntvl: 1, OutputSize: params.MB,
+			HaloBytes: params.MB, MemoryDirtyRate: params.MB, WorkingSet: params.MB}
+		edit(&p)
+		s := New(WithNodes(2), WithCM1(p)).AddVM(VMSpec{Name: "r0", Node: 0, Approach: cluster.OurApproach})
+		if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+			t.Errorf("Validate(%+v) = %v, want ErrInvalidScenario", p, err)
+		}
+	}
+}
+
+// TestZeroBlockSizeFailsPromptly: an IOR spec with a zero block size is a
+// prompt validation error under RunContext, not a run that spins past its
+// deadline between two events, where the interrupt hook is never polled.
+func TestZeroBlockSizeFailsPromptly(t *testing.T) {
+	set := NewSetup(ScaleSmall, 4)
+	p := set.IOR
+	p.BlockSize = 0
+	s := New(WithConfig(set.Cluster)).
+		AddVM(VMSpec{Name: "vm0", Node: 0, Approach: cluster.OurApproach, Workload: IOR(&p)})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.RunContext(ctx)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrInvalidScenario) {
+			t.Fatalf("RunContext = %v, want ErrInvalidScenario", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunContext still running 3 s past its deadline")
 	}
 }
 

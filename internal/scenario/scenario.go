@@ -464,6 +464,9 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 		if s.opt.cm1 != nil && v.Workload.Kind != WorkloadNone {
 			return zero, Setup{}, nil, invalidf("VM %q declares a workload but WithCM1 runs one rank per VM", v.Name)
 		}
+		if err := validateWorkload(v.Name, v.Workload); err != nil {
+			return zero, Setup{}, nil, err
+		}
 		byName[v.Name] = i
 	}
 	checkStep := func(where, vm string, dst int) error {
@@ -612,6 +615,14 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 			return zero, Setup{}, nil, invalidf("CM1 declares %d ranks but the scenario has %d VMs",
 				s.opt.cm1.Procs, len(s.vms))
 		}
+		c := s.opt.cm1
+		if err := checkParams("CM1",
+			[]intParam{{"intervals", int64(c.Intervals)}, {"output size", c.OutputSize},
+				{"halo size", c.HaloBytes}, {"working set", c.WorkingSet}},
+			[]floatParam{{"compute time per interval", c.ComputePerIntvl}, {"memory dirty rate", c.MemoryDirtyRate}},
+		); err != nil {
+			return zero, Setup{}, nil, err
+		}
 	}
 
 	nodes := s.opt.nodes
@@ -644,6 +655,65 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 		return zero, Setup{}, nil, err
 	}
 	return cfg, set, byName, nil
+}
+
+// intParam is a workload count or size, which must not be negative.
+type intParam struct {
+	name string
+	v    int64
+}
+
+// floatParam is a workload time or rate, which must be finite and
+// non-negative.
+type floatParam struct {
+	name string
+	v    float64
+}
+
+// checkParams applies intParam's and floatParam's rules to one workload's
+// parameters; what names the workload in the error.
+func checkParams(what string, ints []intParam, floats []floatParam) error {
+	for _, p := range ints {
+		if p.v < 0 {
+			return invalidf("%s %s %d is negative", what, p.name, p.v)
+		}
+	}
+	for _, p := range floats {
+		if !finite(p.v) || p.v < 0 {
+			return invalidf("%s %s %g is not a finite non-negative value", what, p.name, p.v)
+		}
+	}
+	return nil
+}
+
+// validateWorkload rejects guest workload parameters a run cannot survive.
+// An IOR block size of zero never advances the write offset, so the run
+// spins without firing an event and no deadline can stop it; a negative
+// size, or a negative or non-finite time or rate, ends in a process panic,
+// and a negative count in a run that reports nothing. A nil parameter set
+// takes the scale's defaults.
+func validateWorkload(vm string, w WorkloadSpec) error {
+	switch {
+	case w.Kind == WorkloadIOR && w.IOR != nil:
+		p := w.IOR
+		if p.BlockSize <= 0 {
+			return invalidf("VM %q IOR block size %d is not positive", vm, p.BlockSize)
+		}
+		return checkParams(fmt.Sprintf("VM %q IOR", vm),
+			[]intParam{{"file size", p.FileSize}, {"iterations", int64(p.Iterations)}}, nil)
+	case w.Kind == WorkloadAsyncWR && w.AsyncWR != nil:
+		p := w.AsyncWR
+		return checkParams(fmt.Sprintf("VM %q AsyncWR", vm),
+			[]intParam{{"iterations", int64(p.Iterations)}, {"data per iteration", p.DataPerIter},
+				{"working set", p.WorkingSet}},
+			[]floatParam{{"compute time", p.ComputeTime}, {"memory dirty rate", p.MemoryDirtyRate}})
+	case w.Kind == WorkloadRewrite && w.Rewrite != nil:
+		p := w.Rewrite
+		return checkParams(fmt.Sprintf("VM %q Rewrite", vm),
+			[]intParam{{"file size", p.FileSize}, {"hot size", p.HotBytes}, {"iterations", int64(p.Iterations)}},
+			[]floatParam{{"interval", p.Interval}})
+	}
+	return nil
 }
 
 // validateGeometry requires positive image, chunk and repository stripe

@@ -43,3 +43,20 @@ func BenchmarkProcPingPong(b *testing.B) {
 	e.Step()
 	e.Shutdown()
 }
+
+// BenchmarkSleepElided measures a Sleep whose wake-up is the next event:
+// one lone process sleeping under Run, which takes each wake in place
+// instead of making the round trip BenchmarkProcPingPong times.
+func BenchmarkSleepElided(b *testing.B) {
+	e := sim.New()
+	e.Go("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -133,7 +133,23 @@ type Engine struct {
 	intrCheck func() bool
 	intrEvery int
 	intrLeft  int
+
+	limit Time  // horizon of the active RunUntil; meaningful while running
+	stats Stats // work counters, always on
 }
+
+// Stats are exact work counters of an Engine, always on. A wake-up taken in
+// place by Sleep (Elided) replaces exactly one dispatch the run loop would
+// otherwise have made, so Dispatches+Elided is the same for every way the
+// same simulation is driven.
+type Stats struct {
+	Callbacks  uint64 // callback events fired
+	Dispatches uint64 // process resumes: coroutine round trips
+	Elided     uint64 // Sleep wake-ups taken in place, without a round trip
+}
+
+// Stats returns the engine's work counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // New returns a fresh engine with the clock at zero.
 func New() *Engine {
@@ -284,6 +300,7 @@ func (e *Engine) fire(ev *event) {
 		e.dispatch(p)
 		return
 	}
+	e.stats.Callbacks++
 	fn()
 }
 
@@ -330,6 +347,7 @@ func (e *Engine) RunUntil(limit Time) error {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
+	e.limit = limit
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 && !e.stopped && e.perr == nil {
 		if e.queue[0].t > limit {
@@ -370,7 +388,9 @@ func (e *Engine) Drain(limit Time) error {
 }
 
 // Step executes the single next pending event, if any, and reports whether
-// an event ran. Used by tests that need fine-grained control.
+// an event ran. Used by tests that need fine-grained control. Under Step a
+// Sleep never takes its wake-up in place, so a Step loop is the
+// event-at-a-time reference for the run loops.
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
@@ -466,6 +486,7 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	prev := e.current
 	e.current = p
+	e.stats.Dispatches++
 	if _, ok := p.next(); !ok {
 		p.release()
 	}
@@ -496,12 +517,36 @@ func (p *Proc) release() {
 // Sleep suspends the process for d seconds of virtual time. Negative and
 // zero durations yield to the scheduler (other events at the current time
 // run first).
+//
+// When the wake-up would be the very next event the run loop fires, Sleep
+// takes it in place: it advances the clock and returns without queueing an
+// event or switching coroutines. It consumes the sequence number and the
+// interrupt countdown tick that event would have, so event order, every
+// later event's seq and the interrupt cadence are exactly those of the
+// round trip. Step never elides.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.eng
-	e.scheduleProc(e.now+d, p)
+	t := e.now + d
+	// A NaN t fails the limit test and an infinite one the IsInf test, so
+	// both reach newEvent and panic there. An equal-time queue head has the
+	// smaller seq and fires first, hence the strict comparison. With the
+	// interrupt countdown at its last tick the run loop must make the poll.
+	if e.running && e.current == p && !e.stopped && e.perr == nil &&
+		t <= e.limit && !math.IsInf(t, 0) &&
+		(len(e.queue) == 0 || t < e.queue[0].t) &&
+		(e.intrCheck == nil || e.intrLeft > 1) {
+		if e.intrCheck != nil {
+			e.intrLeft--
+		}
+		e.seq++
+		e.now = t
+		e.stats.Elided++
+		return
+	}
+	e.scheduleProc(t, p)
 	p.park()
 }
 
