@@ -40,7 +40,7 @@ type Store struct {
 	perServer  []float64 // bytes served per server, for balance tests
 	fan        *fabric.FanOut
 
-	// reqBytes and reqOrder are transfer's scratch: the bytes one request
+	// reqBytes and reqOrder are gather's scratch: the bytes one request
 	// addresses on each server, indexed like Servers, and the servers in
 	// first-touch order. They are only used between two yields.
 	reqBytes []int64
@@ -164,11 +164,11 @@ func (b *Blob) read(p *sim.Proc, client *fabric.Node, first, count int) {
 	b.transfer(p, client, first, count, round, false)
 }
 
-// transfer moves stripes [first, first+count) between the client and the
-// servers holding them, one flow per server in first-touch order, and
-// blocks until every flow has completed. A read takes replica
-// (i+round) mod R of stripe i, a write its primary.
-func (b *Blob) transfer(p *sim.Proc, client *fabric.Node, first, count, round int, write bool) {
+// gather sums the bytes stripes [first, first+count) address on each server
+// into reqBytes and returns those servers in first-touch order. A read takes
+// replica (i+round) mod R of stripe i, a write its primary. The caller must
+// zero each server's reqBytes entry as it consumes it, before it yields.
+func (b *Blob) gather(first, count, round int, write bool) []int {
 	s := b.Store
 	order := s.reqOrder[:0]
 	for i := first; i < first+count; i++ {
@@ -182,8 +182,16 @@ func (b *Blob) transfer(p *sim.Proc, client *fabric.Node, first, count, round in
 		s.reqBytes[srv] += b.stripeLen(i)
 	}
 	s.reqOrder = order
+	return order
+}
+
+// transfer moves stripes [first, first+count) between the client and the
+// servers holding them, one flow per server in first-touch order, and
+// blocks until every flow has completed.
+func (b *Blob) transfer(p *sim.Proc, client *fabric.Node, first, count, round int, write bool) {
+	s := b.Store
 	req := s.fan.Begin()
-	for _, srv := range order {
+	for _, srv := range b.gather(first, count, round, write) {
 		bytes := float64(s.reqBytes[srv])
 		s.reqBytes[srv] = 0
 		if write {
@@ -205,18 +213,11 @@ func (b *Blob) ReadAsync(client *fabric.Node, first, count int, rateCap float64,
 	s := b.Store
 	round := s.nextRead
 	s.nextRead++
-	perServer := make(map[int]int64)
-	order := make([]int, 0, 4)
-	for i := first; i < first+count; i++ {
-		srv := b.stripeServer(i, round)
-		if _, ok := perServer[srv]; !ok {
-			order = append(order, srv)
-		}
-		perServer[srv] += b.stripeLen(i)
-	}
+	order := b.gather(first, count, round, false)
 	remaining := len(order)
 	for _, srv := range order {
-		bytes := float64(perServer[srv])
+		bytes := float64(s.reqBytes[srv])
+		s.reqBytes[srv] = 0
 		server := s.Servers[srv]
 		s.reads++
 		s.readBytes += bytes

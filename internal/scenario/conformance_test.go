@@ -68,11 +68,11 @@ const conformanceWarmup = 3.0
 func runConformance(t *testing.T, name string, faults []FaultSpec) *Result {
 	t.Helper()
 	build := func() *Scenario {
-		opts := envParallel([]Option{
+		opts := []Option{
 			WithNodes(4),
 			WithSeedCapture(),
 			WithRetry(RetrySpec{MaxAttempts: 3, Backoff: 0.5}),
-		})
+		}
 		if len(faults) > 0 {
 			opts = append(opts, WithFaults(faults...))
 		}
@@ -131,12 +131,12 @@ func TestStrategyPartitionConformance(t *testing.T) {
 			fault := FaultSpec{Kind: FaultPartition, Node: 2,
 				At: conformanceWarmup + span/2, Duration: 8}
 			build := func() *Scenario {
-				return New(envParallel([]Option{
+				return New(
 					WithNodes(4),
 					WithSeedCapture(),
 					WithRetry(RetrySpec{MaxAttempts: 6, Backoff: 1}),
 					WithFaults(fault),
-				})...).
+				).
 					AddVM(VMSpec{Name: "vm0", Node: 0, Approach: cluster.Approach(name),
 						Workload: Rewrite(nil)}).
 					AddVM(VMSpec{Name: "vm1", Node: 1, Approach: cluster.Approach(name),

@@ -441,6 +441,57 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadConfig: a WithConfig cluster whose guest,
+// hypervisor or migration-manager tunables a run cannot survive fails
+// validation. Each case used to pass it: a zero page size, batch or RAM,
+// a memory page larger than the RAM, and a NaN migration speed or base
+// prefetch rate panicked out of Run; a NaN or infinite pull latency, a
+// zero cache bandwidth and a zero cache region ended in a
+// *sim.ProcPanicError; a zero metadata interval committed without end
+// until the horizon.
+func TestValidateRejectsBadConfig(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		edit func(c *cluster.Config)
+	}{
+		{"guest cache page zero", func(c *cluster.Config) { c.Guest.CachePage = 0 }},
+		{"manager push batch zero", func(c *cluster.Config) { c.Manager.PushBatch = 0 }},
+		{"manager pull batch negative", func(c *cluster.Config) { c.Manager.PullBatch = -1 }},
+		{"hypervisor memory page zero", func(c *cluster.Config) { c.HV.MemPageSize = 0 }},
+		{"hypervisor memory page above RAM", func(c *cluster.Config) { c.HV.MemPageSize = c.Testbed.RAM + 1 }},
+		{"testbed RAM zero", func(c *cluster.Config) { c.Testbed.RAM = 0 }},
+		{"hypervisor migration speed NaN", func(c *cluster.Config) { c.HV.MigrationSpeed = nan }},
+		{"manager base prefetch rate NaN", func(c *cluster.Config) { c.Manager.BasePrefetchRate = nan }},
+		{"manager pull request latency NaN", func(c *cluster.Config) { c.Manager.PullRequestLatency = nan }},
+		{"manager pull request latency +Inf", func(c *cluster.Config) { c.Manager.PullRequestLatency = math.Inf(1) }},
+		{"guest cache write bandwidth zero", func(c *cluster.Config) { c.Guest.CacheWriteBandwidth = 0 }},
+		{"guest cache read bandwidth zero", func(c *cluster.Config) { c.Guest.CacheReadBandwidth = 0 }},
+		{"guest cache region zero", func(c *cluster.Config) { c.Guest.CacheRegion = 0 }},
+		{"guest metadata interval zero", func(c *cluster.Config) { c.Guest.MetadataEvery = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("Run panicked: %v", v)
+				}
+			}()
+			set := NewSetup(ScaleSmall, 4)
+			c.edit(&set.Cluster)
+			s := New(WithConfig(set.Cluster)).
+				AddVM(VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach, Workload: IOR(&set.IOR)}).
+				MigrateAt("a", 1, 1)
+			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
+				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)
+			}
+			if res, err := s.Run(); !errors.Is(err, ErrInvalidScenario) || res != nil {
+				t.Errorf("Run = (%v, %v), want (nil, ErrInvalidScenario)", res, err)
+			}
+		})
+	}
+}
+
 // TestValidateRejectsBadWorkloadParams: workload parameters a run cannot
 // survive fail validation. Each case used to pass it: the IOR block size of
 // zero then spun forever, the others ended in a process panic.

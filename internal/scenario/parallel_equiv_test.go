@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
 	"github.com/hybridmig/hybridmig/internal/sched"
+	"github.com/hybridmig/hybridmig/internal/strategy"
 )
 
 // This file is the differential serial/parallel equivalence suite: every
@@ -22,14 +22,15 @@ import (
 // equivTol is the relative tolerance of the field-wise comparison.
 const equivTol = 1e-6
 
-// envParallel appends WithParallel when HYBRIDMIG_PARALLEL is set, so CI can
-// re-run the existing seeded suites (random invariants, strategy
-// conformance) against the parallel kernel without duplicating them.
-func envParallel(opts []Option) []Option {
-	if os.Getenv("HYBRIDMIG_PARALLEL") != "" {
-		opts = append(opts, WithParallel(4))
+// planOf resolves s and returns its partition plan, nil when the planner
+// vetoes sharding.
+func planOf(t *testing.T, s *Scenario) *partitionPlan {
+	t.Helper()
+	cfg, _, byName, err := s.resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
 	}
-	return opts
+	return s.planPartition(cfg, byName)
 }
 
 // floatsEquivalent reports a ≈ b within relative tolerance equivTol.
@@ -96,11 +97,12 @@ func compareResults(t *testing.T, serial, parallel *Result) {
 }
 
 // parallelRandomScenario builds one preseeded, component-decomposable
-// scenario from the seed: several disjoint node pairs, each with VMs, a
-// timed migration plan, intra-pair cross traffic, and link/crash faults;
-// with probability ~1/2 a global fabric-degrade fault, which the sharded
-// runner gives to shard 0 alone. The same seed always builds the same
-// scenario; parallel selects the kernel.
+// scenario from the seed: several disjoint node pairs, each with VMs of the
+// registry's node-local strategies, a timed migration plan, intra-pair
+// cross traffic, and link-degrade, partition and crash faults; with
+// probability ~1/2 a global fabric-degrade fault, which the sharded runner
+// gives to shard 0 alone. The same seed always builds the same scenario;
+// parallel selects the kernel.
 func parallelRandomScenario(seed int64, parallel bool) *Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	pairs := 3 + rng.Intn(3)
@@ -118,7 +120,14 @@ func parallelRandomScenario(seed int64, parallel bool) *Scenario {
 		opts = append(opts, WithParallel(4))
 	}
 
-	approaches := []cluster.Approach{cluster.OurApproach, cluster.Mirror, cluster.Postcopy}
+	// Every strategy that keeps its storage node-local can shard, including
+	// ones linked in only through registration, like adaptive.
+	var approaches []cluster.Approach
+	for _, n := range strategy.Names() {
+		if def, _ := strategy.Lookup(n); !def.Traits.SharedStorage {
+			approaches = append(approaches, cluster.Approach(n))
+		}
+	}
 	warmup := 2 + rng.Float64()*2
 	type mig struct {
 		vm  string
@@ -160,10 +169,23 @@ func parallelRandomScenario(seed int64, parallel bool) *Scenario {
 				Stop: 8 + rng.Float64()*10, Rate: float64(10+rng.Intn(30)) * 1e6,
 			})
 		}
+		degradeEnd := -1.0 // end of the link-degrade window on dst, if any
 		if rng.Intn(3) == 0 {
-			faults = append(faults, FaultSpec{Kind: FaultLinkDegrade, Node: dst,
+			f := FaultSpec{Kind: FaultLinkDegrade, Node: dst,
 				At: warmup + rng.Float64()*2, Factor: 0.3 + rng.Float64()*0.5,
-				Duration: 1 + rng.Float64()*3})
+				Duration: 1 + rng.Float64()*3}
+			faults = append(faults, f)
+			degradeEnd = f.At + f.Duration
+		}
+		if rng.Intn(3) == 0 {
+			f := FaultSpec{Kind: FaultPartition, Node: src + rng.Intn(2),
+				At: warmup + rng.Float64()*4, Duration: 0.5 + rng.Float64()*2}
+			// Windows on one node's NIC must not overlap: start after the
+			// degradation instead.
+			if f.Node == dst && degradeEnd >= 0 && f.At < degradeEnd {
+				f.At = degradeEnd + 0.5
+			}
+			faults = append(faults, f)
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -201,11 +223,7 @@ func TestParallelEquivalenceRandom(t *testing.T) {
 			}
 
 			par := parallelRandomScenario(seed, true)
-			cfg, _, _, err := par.resolve()
-			if err != nil {
-				t.Fatalf("resolve: %v", err)
-			}
-			plan := par.planPartition(cfg)
+			plan := planOf(t, par)
 			if plan == nil {
 				t.Fatalf("seed %d: planner fell back to serial on a decomposable scenario", seed)
 			}
@@ -288,8 +306,10 @@ func TestParallelPreseededSemantics(t *testing.T) {
 }
 
 // TestParallelPlannerFallbacks pins each planner veto: campaigns, CM1,
-// shared-storage strategies, non-preseeded images, a saturable fabric, and
-// single-component scenarios all return a nil plan.
+// shared-storage strategies, non-preseeded images, a saturable fabric,
+// faults or traffic on a component without VMs, and single-component
+// scenarios all return a nil plan. Fabric-degrade and partition faults
+// shard.
 func TestParallelPlannerFallbacks(t *testing.T) {
 	base := func(extra ...Option) *Scenario {
 		opts := append([]Option{WithNodes(4), WithPreseededImages(), WithParallel(2)}, extra...)
@@ -300,11 +320,7 @@ func TestParallelPlannerFallbacks(t *testing.T) {
 	}
 	expectPlan := func(t *testing.T, s *Scenario, want bool) {
 		t.Helper()
-		cfg, _, _, err := s.resolve()
-		if err != nil {
-			t.Fatalf("resolve: %v", err)
-		}
-		if got := s.planPartition(cfg) != nil; got != want {
+		if got := planOf(t, s) != nil; got != want {
 			t.Errorf("planPartition = %t, want %t", got, want)
 		}
 	}
@@ -328,6 +344,24 @@ func TestParallelPlannerFallbacks(t *testing.T) {
 		s := base()
 		s.Campaign(2, sched.AllAtOnce{}, Step{VM: "a", Dst: 1})
 		expectPlan(t, s, false)
+	})
+	t.Run("cm1", func(t *testing.T) {
+		p := NewSetup(ScaleSmall, 4).CM1
+		p.Procs, p.GridX, p.GridY = 2, 2, 1
+		expectPlan(t, base(WithCM1(p)), false)
+	})
+	// Nodes 4 and 5 form a component without VMs.
+	t.Run("vm-less-traffic", func(t *testing.T) {
+		expectPlan(t, base(WithNodes(6), WithBackgroundTraffic(TrafficSpec{
+			Src: 4, Dst: 5, Start: 0, Stop: 1})), false)
+	})
+	t.Run("vm-less-link-degrade", func(t *testing.T) {
+		expectPlan(t, base(WithNodes(6), WithFaults(FaultSpec{
+			Kind: FaultLinkDegrade, Node: 4, At: 1, Factor: 0.5, Duration: 1})), false)
+	})
+	t.Run("vm-less-partition", func(t *testing.T) {
+		expectPlan(t, base(WithNodes(6), WithFaults(FaultSpec{
+			Kind: FaultPartition, Node: 5, At: 1, Duration: 1})), false)
 	})
 	t.Run("saturable-fabric", func(t *testing.T) {
 		set := NewSetup(ScaleSmall, 4)
@@ -354,11 +388,7 @@ func TestParallelPlannerFallbacks(t *testing.T) {
 		set.Cluster.Testbed.FabricBandwidth = 4 * 4 * set.Cluster.Testbed.NICBandwidth
 		s := base(WithConfig(set.Cluster), WithFaults(FaultSpec{
 			Kind: FaultFabricDegrade, At: 1, Factor: 0.5, Duration: 1}))
-		cfg, _, _, err := s.resolve()
-		if err != nil {
-			t.Fatalf("resolve: %v", err)
-		}
-		plan := s.planPartition(cfg)
+		plan := planOf(t, s)
 		if plan == nil {
 			t.Fatal("planPartition = nil, want a plan")
 		}
@@ -369,6 +399,20 @@ func TestParallelPlannerFallbacks(t *testing.T) {
 			if len(sp.faults) != 0 {
 				t.Errorf("shard %d carries faults %v, want none", i+1, sp.faults)
 			}
+		}
+	})
+	t.Run("partition", func(t *testing.T) {
+		// Without shared storage a partition is a NIC blackout on one node:
+		// the shard owning node 3 gets it, remapped to local node 1.
+		plan := planOf(t, base(WithFaults(FaultSpec{Kind: FaultPartition, Node: 3, At: 1, Duration: 1})))
+		if plan == nil {
+			t.Fatal("planPartition = nil, want a plan")
+		}
+		if f := plan.shards[0].faults; len(f) != 0 {
+			t.Errorf("shard 0 faults %v, want none", f)
+		}
+		if f := plan.shards[1].faults; len(f) != 1 || f[0].Kind != FaultPartition || f[0].Node != 1 {
+			t.Errorf("shard 1 faults %v, want the partition on local node 1", f)
 		}
 	})
 }

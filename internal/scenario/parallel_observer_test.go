@@ -39,9 +39,9 @@ func (r *recordingObserver) OnEvent(e trace.Event) {
 }
 
 // observedScenario is a deterministic four-component scenario with sampling,
-// per-pair cross traffic, and a global fabric-degrade fault, so the sharded
-// run delivers shard 0's fabric fault and capacity events alongside every
-// shard's own with observers attached.
+// a global fabric-degrade fault, a link degradation and a partition, so the
+// sharded run delivers shard 0's fabric fault and capacity events alongside
+// every shard's own with observers attached.
 func observedScenario(obs trace.Observer, parallel bool) *Scenario {
 	const pairs = 4
 	nodes := 2 * pairs
@@ -55,6 +55,9 @@ func observedScenario(obs trace.Observer, parallel bool) *Scenario {
 			// Node 5 is shard-local index 1 in its component: its capacity
 			// events exercise the link-name translation back to global ids.
 			FaultSpec{Kind: FaultLinkDegrade, Node: 5, At: 2.5, Factor: 0.6, Duration: 1.5},
+			// Node 3 is shard-local index 1 too: its partition fault event
+			// must report the global node.
+			FaultSpec{Kind: FaultPartition, Node: 3, At: 2.4, Duration: 1},
 		),
 	}
 	if parallel {
@@ -75,11 +78,7 @@ func observedScenario(obs trace.Observer, parallel bool) *Scenario {
 func TestParallelObserverOrdering(t *testing.T) {
 	rec := &recordingObserver{}
 	s := observedScenario(rec, true)
-	cfg, _, _, err := s.resolve()
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	plan := s.planPartition(cfg)
+	plan := planOf(t, s)
 	if plan == nil || len(plan.shards) != 4 {
 		t.Fatalf("scenario did not shard into 4 components (plan=%v)", plan)
 	}
@@ -152,7 +151,10 @@ func TestParallelObserverEquivalence(t *testing.T) {
 			if a.Kind != b.Kind {
 				return a.Kind < b.Kind
 			}
-			return a.Value < b.Value
+			if a.Value != b.Value {
+				return a.Value < b.Value
+			}
+			return a.Detail < b.Detail
 		})
 		return byVM, samples, global
 	}

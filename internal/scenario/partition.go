@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -35,59 +34,59 @@ import (
 // local node indices.
 type shardPlan struct {
 	nodes      []int
-	local      map[int]int // global node id -> local index
-	vms        []int       // global VM indices, ascending declaration order
+	vms        []int // global VM indices, ascending declaration order
 	migrations []Migration
 	faults     []FaultSpec
 	traffic    []TrafficSpec
 }
 
-// partitionPlan is the full decomposition. Fabric-degrade faults belong to
-// shard 0, which installs their capacity schedule and emits their trace
-// events; the other shards carry no replica. None is needed: the planner
-// admits a fabric-degrade scenario only when the headroom test holds at the
-// lowest degrade factor, so the switch link is transparent in every shard at
-// every capacity step and its capacity changes no flow's rate.
+// partitionPlan is the full decomposition: the shards in order of their
+// smallest node, and every sharded node's index within its shard (local;
+// nodes of components without VMs belong to no shard).
+//
+// Fabric-degrade faults belong to shard 0, which installs their capacity
+// schedule and emits their trace events; the other shards carry no replica.
+// None is needed: the planner admits a fabric-degrade scenario only when the
+// headroom test holds at the lowest degrade factor, so the switch link is
+// transparent in every shard at every capacity step and its capacity changes
+// no flow's rate.
 type partitionPlan struct {
 	shards []shardPlan
+	local  []int
 }
 
 // planPartition decides whether the scenario decomposes into ≥ 2 independent
-// components and builds the plan. It returns nil — serial fallback — when any
-// coupling channel between node groups could exist:
+// components and builds the plan; byName is resolve's name→index map. It
+// returns nil — serial fallback — when any coupling channel between node
+// groups could exist:
 //
 //   - campaigns and CM1 observe global state (admission control samples the
 //     cluster-wide network; CM1 ranks exchange halos across all VMs);
-//   - shared-storage strategies (precopy, pvfs-shared) route every VM's I/O
-//     through the cluster-wide PFS servers;
+//   - shared-storage strategies (precopy, pvfs-shared, multiattach) route
+//     I/O through the cluster-wide PFS servers, and they alone take leases
+//     and open the reconciler windows a partition fault acts on. Without
+//     them a partition is a NIC blackout on one node, which its shard owns
+//     like a link degradation;
 //   - without preseeded images, boot reads and base fetches hit the striped
 //     repository spanning all nodes;
 //   - a switch fabric that could saturate arbitrates bandwidth globally. The
 //     headroom test nodes*NIC <= fabric*minDegradeFactor is sufficient: if the
 //     fabric ever bound under progressive filling, every flow's fabric share
 //     would undercut its NIC share, so the fabric's full capacity would be
-//     both allocated and strictly less than itself — a contradiction.
+//     both allocated and strictly less than itself — a contradiction;
+//   - a fault or traffic stream on a component without VMs would lose its
+//     trace events in a sharded run;
+//   - fewer than two components hold VMs.
 //
 // Within the surviving scenarios, two nodes couple only when a migration or
 // a traffic stream connects them; union-find over those edges yields the
 // components.
-func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
-	if s.opt.cm1 != nil || len(s.campaigns) > 0 {
+func (s *Scenario) planPartition(cfg cluster.Config, byName map[string]int) *partitionPlan {
+	if s.opt.cm1 != nil || len(s.campaigns) > 0 || !cfg.Manager.Preseeded {
 		return nil
 	}
 	for _, v := range s.vms {
 		if def, ok := strategy.Lookup(string(v.Approach)); !ok || def.Traits.SharedStorage {
-			return nil
-		}
-	}
-	if !cfg.Manager.Preseeded {
-		return nil
-	}
-	// Partition faults couple every shard through the attachment manager:
-	// the lease reconciler's reachability probe is global state, so such
-	// scenarios stay serial.
-	for _, f := range s.opt.faults {
-		if f.Kind == FaultPartition {
 			return nil
 		}
 	}
@@ -101,10 +100,6 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 		return nil
 	}
 
-	byName := make(map[string]int, len(s.vms))
-	for i, v := range s.vms {
-		byName[v.Name] = i
-	}
 	uf := newUnionFind(cfg.Nodes)
 	for _, m := range s.migrations {
 		uf.union(s.vms[byName[m.VM]].Node, m.Dst)
@@ -112,139 +107,91 @@ func (s *Scenario) planPartition(cfg cluster.Config) *partitionPlan {
 	for _, t := range s.opt.traffic {
 		uf.union(t.Src, t.Dst)
 	}
-
-	// Raw components over all nodes, ordered by smallest member node.
-	groupOf := make(map[int]int)
-	var raw []shardPlan
-	for n := 0; n < cfg.Nodes; n++ {
+	// shard maps a component's root to its plan shard, -1 for a component
+	// without VMs. A root is its component's smallest node, so one ascending
+	// pass numbers the shards by smallest node and gives each node its
+	// local index, its rank among its shard's nodes.
+	shard := make([]int, cfg.Nodes)
+	for n := range shard {
+		shard[n] = -1
+	}
+	for _, v := range s.vms {
+		shard[uf.find(v.Node)] = 0 // has VMs: numbered in the pass below
+	}
+	plan := &partitionPlan{local: make([]int, cfg.Nodes)}
+	for n := range shard {
 		r := uf.find(n)
-		gi, ok := groupOf[r]
-		if !ok {
-			gi = len(raw)
-			groupOf[r] = gi
-			raw = append(raw, shardPlan{local: make(map[int]int)})
+		if r == n && shard[n] == 0 {
+			shard[n] = len(plan.shards)
+			plan.shards = append(plan.shards, shardPlan{})
 		}
-		raw[gi].local[n] = len(raw[gi].nodes)
-		raw[gi].nodes = append(raw[gi].nodes, n)
-	}
-	shardOf := func(node int) int { return groupOf[uf.find(node)] }
-
-	for i, v := range s.vms {
-		gi := shardOf(v.Node)
-		raw[gi].vms = append(raw[gi].vms, i)
-	}
-	for _, m := range s.migrations {
-		gi := shardOf(s.vms[byName[m.VM]].Node)
-		m.Dst = raw[gi].local[m.Dst]
-		raw[gi].migrations = append(raw[gi].migrations, m)
-	}
-	// Fault owners: a raw shard index, or -1 for the fabric-degrade faults,
-	// which go to plan shard 0.
-	owner := make([]int, len(s.opt.faults))
-	for fi, f := range s.opt.faults {
-		switch f.Kind {
-		case FaultDestCrash, FaultDeadline:
-			owner[fi] = shardOf(s.vms[byName[f.VM]].Node)
-		case FaultLinkDegrade:
-			owner[fi] = shardOf(f.Node)
-		default:
-			owner[fi] = -1
+		if gi := shard[r]; gi >= 0 {
+			sp := &plan.shards[gi]
+			plan.local[n] = len(sp.nodes)
+			sp.nodes = append(sp.nodes, n)
 		}
 	}
-	trafficOwner := make([]int, len(s.opt.traffic))
-	for ti, t := range s.opt.traffic {
-		trafficOwner[ti] = shardOf(t.Src)
-	}
-
-	// Keep only components with VMs; a component carrying faults or traffic
-	// but no VM would lose its trace events in a sharded run, so such
-	// scenarios stay serial.
-	kept := make([]int, 0, len(raw)) // raw indices of surviving shards
-	keptIdx := make([]int, len(raw)) // raw index -> plan shard index
-	for gi := range raw {
-		keptIdx[gi] = -1
-		if len(raw[gi].vms) > 0 {
-			keptIdx[gi] = len(kept)
-			kept = append(kept, gi)
-		}
-	}
-	for _, gi := range owner {
-		if gi >= 0 && keptIdx[gi] < 0 {
-			return nil
-		}
-	}
-	for _, gi := range trafficOwner {
-		if keptIdx[gi] < 0 {
-			return nil
-		}
-	}
-	if len(kept) < 2 {
+	if len(plan.shards) < 2 {
 		return nil
 	}
+	shardOf := func(node int) int { return shard[uf.find(node)] }
 
-	plan := &partitionPlan{shards: make([]shardPlan, len(kept))}
-	for pi, gi := range kept {
-		plan.shards[pi] = raw[gi]
+	for i, v := range s.vms {
+		sp := &plan.shards[shardOf(v.Node)]
+		sp.vms = append(sp.vms, i)
 	}
-	// Fault lists preserve declaration order per shard (faults at equal times
-	// fire in declaration order, a documented contract); the fabric-degrade
-	// faults join shard 0, which owns their trace emission.
-	for fi, f := range s.opt.faults {
-		gi := owner[fi]
+	for _, m := range s.migrations {
+		sp := &plan.shards[shardOf(s.vms[byName[m.VM]].Node)]
+		m.Dst = plan.local[m.Dst]
+		sp.migrations = append(sp.migrations, m)
+	}
+	// Fault lists keep declaration order per shard: faults at equal times
+	// fire in declaration order, a documented contract.
+	for _, f := range s.opt.faults {
+		gi := 0 // fabric-degrade faults
+		switch f.Kind {
+		case FaultDestCrash, FaultDeadline:
+			gi = shardOf(s.vms[byName[f.VM]].Node)
+		case FaultLinkDegrade, FaultPartition:
+			if gi = shardOf(f.Node); gi < 0 {
+				return nil
+			}
+			f.Node = plan.local[f.Node]
+		}
+		plan.shards[gi].faults = append(plan.shards[gi].faults, f)
+	}
+	for _, t := range s.opt.traffic {
+		gi := shardOf(t.Src)
 		if gi < 0 {
-			plan.shards[0].faults = append(plan.shards[0].faults, f)
-			continue
+			return nil
 		}
-		pi := keptIdx[gi]
-		if f.Kind == FaultLinkDegrade {
-			f.Node = plan.shards[pi].local[f.Node]
-		}
-		plan.shards[pi].faults = append(plan.shards[pi].faults, f)
-	}
-	for ti, t := range s.opt.traffic {
-		pi := keptIdx[trafficOwner[ti]]
-		sp := &plan.shards[pi]
-		t.Src, t.Dst = sp.local[t.Src], sp.local[t.Dst]
-		sp.traffic = append(sp.traffic, t)
+		t.Src, t.Dst = plan.local[t.Src], plan.local[t.Dst]
+		plan.shards[gi].traffic = append(plan.shards[gi].traffic, t)
 	}
 	return plan
 }
 
 // subScenario builds the component-local scenario for plan shard i: the
 // shard's VMs on renumbered nodes, its slice of the migration plan, faults
-// and traffic, and the parent's run options minus parallelism (a shard never
-// re-shards) and seed capture (regenerated on the merged Result). shared,
-// when non-nil, is the mutex-serialized adapter over the caller's observers.
+// and traffic, and the parent's run options with the configuration narrowed
+// to the shard's nodes, no parallelism (a shard never re-shards) and no seed
+// capture (regenerated on the merged Result). shared, when non-nil, is the
+// mutex-serialized adapter over the caller's observers.
 func (s *Scenario) subScenario(cfg cluster.Config, plan *partitionPlan, i int, shared trace.Observer) *Scenario {
 	sp := &plan.shards[i]
-	subCfg := cfg
-	subCfg.Nodes = len(sp.nodes)
-	opts := []Option{
-		WithScale(s.opt.scale),
-		WithConfig(subCfg),
-		WithHorizon(s.opt.horizon),
-		WithRetry(s.opt.retry),
-	}
+	sub := &Scenario{opt: s.opt, migrations: sp.migrations}
+	cfg.Nodes = len(sp.nodes)
+	sub.opt.config = &cfg
+	sub.opt.faults, sub.opt.traffic = sp.faults, sp.traffic
+	sub.opt.observers = nil
 	if shared != nil {
-		opts = append(opts, WithObserver(&shardObserver{nodes: sp.nodes, shared: shared}))
-		if s.opt.sampleEvery > 0 {
-			opts = append(opts, WithSampleInterval(s.opt.sampleEvery))
-		}
+		sub.opt.observers = []trace.Observer{&shardObserver{nodes: sp.nodes, shared: shared}}
 	}
-	if len(sp.faults) > 0 {
-		opts = append(opts, WithFaults(sp.faults...))
-	}
-	if len(sp.traffic) > 0 {
-		opts = append(opts, WithBackgroundTraffic(sp.traffic...))
-	}
-	sub := New(opts...)
+	sub.opt.parallel, sub.opt.seedCapture = false, false
 	for _, vi := range sp.vms {
 		v := s.vms[vi]
-		v.Node = sp.local[v.Node]
-		sub.AddVM(v)
-	}
-	for _, m := range sp.migrations {
-		sub.migrations = append(sub.migrations, m)
+		v.Node = plan.local[v.Node]
+		sub.vms = append(sub.vms, v)
 	}
 	return sub
 }
@@ -278,20 +225,11 @@ func (s *Scenario) runSharded(cfg cluster.Config, plan *partitionPlan, check fun
 // runShard runs one component start to finish in isolation.
 func (s *Scenario) runShard(cfg cluster.Config, plan *partitionPlan, i int, shared trace.Observer, check func() bool) (*Result, error) {
 	sub := s.subScenario(cfg, plan, i, shared)
-	c2, set2, byName2, err := sub.resolve()
+	subCfg, set, byName, err := sub.resolve()
 	if err != nil {
 		return nil, err
 	}
-	ss := sub.build(c2, set2, byName2)
-	if check != nil {
-		ss.tb.Eng.SetInterrupt(interruptStride, check)
-	}
-	runErr := ss.tb.Eng.Drain(sub.opt.horizon)
-	ss.tb.Eng.Shutdown()
-	if errors.As(runErr, new(*sim.ProcPanicError)) {
-		return nil, runErr
-	}
-	return sub.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns), runErr
+	return sub.drain(subCfg, set, byName, check)
 }
 
 // mergeShardResults folds the per-shard Results into one global Result:
@@ -367,8 +305,9 @@ func mergeShardErrors(errs []error, horizon float64) error {
 // shardObserver translates shard-local node identifiers in emitted events
 // back to the scenario's global node ids before forwarding to the shared
 // serialized observer, so a sharded run's trace reads identically to the
-// serial one: migration-requested destinations (Value) and NIC/disk link
-// names ("node<i>.in" etc. in Detail) are the two places node ids surface.
+// serial one. Node ids surface in three places: migration-requested
+// destinations and partition faults' nodes (Value), and NIC/disk link names
+// ("node<i>.in" etc. in Detail).
 type shardObserver struct {
 	nodes  []int // local node index -> global node id
 	shared trace.Observer
@@ -376,12 +315,13 @@ type shardObserver struct {
 
 // OnEvent implements trace.Observer.
 func (s *shardObserver) OnEvent(e trace.Event) {
-	switch e.Kind {
-	case trace.KindMigrationRequested:
+	switch {
+	case e.Kind == trace.KindMigrationRequested,
+		e.Kind == trace.KindFaultInjected && e.Detail == FaultPartition.String():
 		if i := int(e.Value); i >= 0 && i < len(s.nodes) {
 			e.Value = float64(s.nodes[i])
 		}
-	case trace.KindLinkCapacity:
+	case e.Kind == trace.KindLinkCapacity:
 		e.Detail = s.globalLinkName(e.Detail)
 	}
 	s.shared.OnEvent(e)

@@ -76,11 +76,7 @@ func TestParallelProcPanic(t *testing.T) {
 		return s
 	}
 	s := build(WithObserver(panicOnSample))
-	cfg, _, _, err := s.resolve()
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	if s.planPartition(cfg) == nil {
+	if planOf(t, s) == nil {
 		t.Fatal("planner vetoed the scenario: the sharded path is not exercised")
 	}
 	checkProcPanic(t, s)

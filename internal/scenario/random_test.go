@@ -75,7 +75,7 @@ func randomScenario(seed int64) (*Scenario, planInfo) {
 	nVMs := 2 + rng.Intn(3)
 
 	retry := RetrySpec{MaxAttempts: 2 + rng.Intn(2), Backoff: 0.5 + rng.Float64()}
-	opts := envParallel([]Option{WithConfig(set.Cluster), WithSeedCapture(), WithRetry(retry)})
+	opts := []Option{WithConfig(set.Cluster), WithSeedCapture(), WithRetry(retry)}
 
 	// Sample across the full strategy registry (not a hard-coded list), so
 	// every registered strategy — including ones linked in purely through

@@ -329,21 +329,22 @@ func WithPreseededImages() Option { return func(o *options) { o.preseed = true }
 // WithParallel runs the scenario on the component-parallel simulation
 // kernel: the planner partitions the declared VMs, migrations, traffic and
 // faults into connected components of the fabric, each component runs as an
-// independent sub-run on its own event heap and clock (the shards never
-// synchronize), and the per-shard results are merged deterministically.
-// workers bounds the shards executing concurrently; values <= 0 use
-// GOMAXPROCS.
+// independent sub-run through the serial kernel's drain path on its own
+// event heap and clock (the shards never synchronize), and the per-shard
+// results are merged deterministically. workers bounds the shards executing
+// concurrently; values <= 0 use GOMAXPROCS.
 //
 // Parallel execution is conservative: a scenario the planner cannot prove
 // decomposable (campaigns or CM1 — their orchestration observes global
 // state; shared-storage strategies; images not preseeded; a switch fabric
-// that could saturate) falls back to the serial kernel, so WithParallel
-// never changes which scenarios are runnable. Merged results agree with the
-// serial kernel field by field (the differential equivalence suite pins
-// this at 1e-6 relative tolerance; in practice per-VM measurements are
-// bit-identical and only summed traffic counters differ by float
-// association). Without WithParallel runs are serial and bit-for-bit
-// reproducible, which is what the golden suite pins.
+// that could saturate; a fault or traffic stream on a component without
+// VMs; fewer than two components with VMs) falls back to the serial
+// kernel, so WithParallel never changes which scenarios are runnable.
+// Merged results agree with the serial kernel field by field (the
+// differential equivalence suite pins this at 1e-6 relative tolerance; in
+// practice per-VM measurements are bit-identical and only summed traffic
+// counters differ by float association). Without WithParallel runs are
+// serial and bit-for-bit reproducible, which is what the golden suite pins.
 func WithParallel(workers int) Option {
 	return func(o *options) {
 		o.parallel = true
@@ -643,15 +644,7 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if top := s.maxNodeIndex(); top >= cfg.Nodes {
 		return zero, Setup{}, nil, invalidf("node index %d out of range (testbed has %d nodes)", top, cfg.Nodes)
 	}
-	if err := validateTestbed(cfg.Testbed); err != nil {
-		return zero, Setup{}, nil, err
-	}
-	// Every PFS and repository request sleeps this long: a non-finite value
-	// would crash the run at its first request, a negative one run as zero.
-	if lat := cfg.Repo.MetadataLatency; !finite(lat) || lat < 0 {
-		return zero, Setup{}, nil, invalidf("repository metadata latency %g is not a finite non-negative time", lat)
-	}
-	if err := validateGeometry(cfg.Testbed, cfg.Repo); err != nil {
+	if err := validateConfig(cfg); err != nil {
 		return zero, Setup{}, nil, err
 	}
 	return cfg, set, byName, nil
@@ -716,46 +709,50 @@ func validateWorkload(vm string, w WorkloadSpec) error {
 	return nil
 }
 
-// validateGeometry requires positive image, chunk and repository stripe
-// sizes, and chunk and stripe sizes that nest (one divides the other).
-// Building the testbed or a migration manager panics on any other geometry.
-func validateGeometry(tb params.Testbed, repo params.Repository) error {
-	for _, sz := range [...]struct {
-		name string
-		v    int64
-	}{{"image", tb.ImageSize}, {"chunk", tb.ChunkSize}, {"repository stripe", repo.StripeSize}} {
-		if sz.v <= 0 {
-			return invalidf("testbed %s size %d is not positive", sz.name, sz.v)
+// validateConfig rejects a cluster configuration the run cannot survive.
+// Building the testbed panics on a size, page size or batch that is not
+// positive, on a memory page larger than the RAM, and on chunk and
+// repository stripe sizes that do not nest (one must divide the other);
+// flow.NewLink panics on a link bandwidth that is not finite and positive.
+// The rest end the run in a panic the first time a process sleeps or a flow
+// runs with them: a zero cache region or cache bandwidth, and a latency or
+// rate cap that is NaN or infinite. A metadata interval of zero commits
+// without end at the first write. A negative latency or cap would run
+// silently as zero, which for a rate cap means uncapped.
+func validateConfig(cfg cluster.Config) error {
+	tb, hv, g, m := cfg.Testbed, cfg.HV, cfg.Guest, cfg.Manager
+	for _, p := range [...]intParam{
+		{"testbed image size", tb.ImageSize}, {"testbed chunk size", tb.ChunkSize},
+		{"repository stripe size", cfg.Repo.StripeSize}, {"testbed RAM", tb.RAM},
+		{"hypervisor memory page size", hv.MemPageSize}, {"guest cache page size", g.CachePage},
+		{"guest cache region", g.CacheRegion}, {"guest metadata interval", g.MetadataEvery},
+		{"manager push batch", int64(m.PushBatch)}, {"manager pull batch", int64(m.PullBatch)},
+	} {
+		if p.v <= 0 {
+			return invalidf("%s %d is not positive", p.name, p.v)
 		}
 	}
-	if tb.ChunkSize%repo.StripeSize != 0 && repo.StripeSize%tb.ChunkSize != 0 {
-		return invalidf("chunk size %d and repository stripe size %d do not nest", tb.ChunkSize, repo.StripeSize)
+	if hv.MemPageSize > tb.RAM {
+		return invalidf("hypervisor memory page size %d exceeds the testbed RAM %d", hv.MemPageSize, tb.RAM)
 	}
-	return nil
-}
-
-// validateTestbed requires every link bandwidth of the testbed to be finite
-// and positive, and every latency finite and non-negative. flow.NewLink
-// panics on a bandwidth outside that range, and a non-finite one that got
-// through would end a run early with no error or report impossible times.
-func validateTestbed(tb params.Testbed) error {
-	for _, bw := range [...]struct {
-		name string
-		v    float64
-	}{{"NIC", tb.NICBandwidth}, {"disk", tb.DiskBandwidth}, {"fabric", tb.FabricBandwidth}} {
-		if !finite(bw.v) || bw.v <= 0 {
-			return invalidf("testbed %s bandwidth %g is not a finite positive rate", bw.name, bw.v)
+	if tb.ChunkSize%cfg.Repo.StripeSize != 0 && cfg.Repo.StripeSize%tb.ChunkSize != 0 {
+		return invalidf("chunk size %d and repository stripe size %d do not nest", tb.ChunkSize, cfg.Repo.StripeSize)
+	}
+	for _, p := range [...]floatParam{
+		{"testbed NIC bandwidth", tb.NICBandwidth}, {"testbed disk bandwidth", tb.DiskBandwidth},
+		{"testbed fabric bandwidth", tb.FabricBandwidth},
+		{"guest cache read bandwidth", g.CacheReadBandwidth}, {"guest cache write bandwidth", g.CacheWriteBandwidth},
+	} {
+		if !finite(p.v) || p.v <= 0 {
+			return invalidf("%s %g is not a finite positive rate", p.name, p.v)
 		}
 	}
-	for _, lat := range [...]struct {
-		name string
-		v    float64
-	}{{"network", tb.NetLatency}, {"disk", tb.DiskLatency}} {
-		if !finite(lat.v) || lat.v < 0 {
-			return invalidf("testbed %s latency %g is not a finite non-negative time", lat.name, lat.v)
-		}
-	}
-	return nil
+	return checkParams("configuration", nil, []floatParam{
+		{"testbed network latency", tb.NetLatency}, {"testbed disk latency", tb.DiskLatency},
+		{"repository metadata latency", cfg.Repo.MetadataLatency},
+		{"manager pull request latency", m.PullRequestLatency},
+		{"hypervisor migration speed", hv.MigrationSpeed}, {"manager base prefetch rate", m.BasePrefetchRate},
+	})
 }
 
 // runner holds one VM's live workload instance for result collection.
@@ -767,8 +764,8 @@ type runner struct {
 }
 
 // session is one assembled, not-yet-drained simulation of a scenario: the
-// testbed plus every handle result collection needs. The serial and sharded
-// run paths share it — a sharded run is just one session per component.
+// testbed plus every handle result collection needs. drain builds and runs
+// one: once for a serial run, once per component for a sharded one.
 type session struct {
 	tb        *cluster.Testbed
 	insts     []*cluster.Instance
@@ -818,22 +815,33 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 		}
 		check = func() bool { return ctx.Err() != nil }
 	}
+	var plan *partitionPlan
 	if s.opt.parallel {
-		if plan := s.planPartition(cfg); plan != nil {
-			res, err := s.runSharded(cfg, plan, check)
-			if errors.As(err, new(*sim.ProcPanicError)) {
-				return nil, err
-			}
-			if errors.Is(err, sim.ErrInterrupted) {
-				cerr := &CanceledError{Cause: context.Cause(ctx)}
-				if res != nil {
-					cerr.Clock = res.Clock
-				}
-				return res, cerr
-			}
-			return res, err
-		}
+		plan = s.planPartition(cfg, byName)
 	}
+	var res *Result
+	if plan != nil {
+		res, err = s.runSharded(cfg, plan, check)
+	} else {
+		res, err = s.drain(cfg, set, byName, check)
+	}
+	if errors.As(err, new(*sim.ProcPanicError)) {
+		// A process broke a model invariant: no state of this run can be
+		// trusted, so there is no partial result.
+		return nil, err
+	}
+	if errors.Is(err, sim.ErrInterrupted) {
+		return res, &CanceledError{Clock: res.Clock, Cause: context.Cause(ctx)}
+	}
+	return res, err
+}
+
+// drain builds the resolved scenario on its own engine, runs it until it
+// drains (or the horizon, a process panic or check's cancellation stops it),
+// shuts every process down and collects the Result. A process panic returns
+// no Result. The serial kernel is one drain; the sharded kernel is one per
+// component.
+func (s *Scenario) drain(cfg cluster.Config, set Setup, byName map[string]int, check func() bool) (*Result, error) {
 	ss := s.build(cfg, set, byName)
 	if check != nil {
 		ss.tb.Eng.SetInterrupt(interruptStride, check)
@@ -841,15 +849,10 @@ func (s *Scenario) RunContext(ctx context.Context) (*Result, error) {
 	runErr := ss.tb.Eng.Drain(s.opt.horizon)
 	ss.tb.Eng.Shutdown()
 	if errors.As(runErr, new(*sim.ProcPanicError)) {
-		// A process broke a model invariant: no state of this run can be
-		// trusted, so there is no partial result.
 		return nil, runErr
 	}
 	res := s.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns)
 	if runErr != nil {
-		if errors.Is(runErr, sim.ErrInterrupted) {
-			return res, &CanceledError{Clock: res.Clock, Cause: context.Cause(ctx)}
-		}
 		return res, runErr
 	}
 	// Silent split brain is a hard simulation error: any write the attachment

@@ -174,7 +174,8 @@ func WithPreseededImages() Option { return scenario.WithPreseededImages() }
 // event heaps and the results merge deterministically, equivalent to the
 // serial kernel field by field. Scenarios the planner cannot prove
 // decomposable (campaigns, CM1, shared-storage strategies, non-preseeded
-// images, a saturable fabric) fall back to the serial kernel. workers <= 0
+// images, a saturable fabric, a fault or traffic stream on nodes without
+// VMs, a single component) fall back to the serial kernel. workers <= 0
 // uses GOMAXPROCS. Without this option runs are serial and bit-for-bit
 // reproducible.
 func WithParallel(workers int) Option { return scenario.WithParallel(workers) }
