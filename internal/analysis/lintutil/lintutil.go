@@ -140,9 +140,6 @@ func FuncFor(file *ast.File, pos token.Pos) (decl *ast.FuncDecl, lit *ast.FuncLi
 	return decl, lit, found
 }
 
-// FileOf exposes fileFor for analyzers that need comment access.
-func FileOf(pass *analysis.Pass, pos token.Pos) *ast.File { return fileFor(pass, pos) }
-
 // CalleeFunc resolves a call expression to the package-level *types.Func it
 // invokes (through a plain identifier or a pkg.Sel selector), or nil.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

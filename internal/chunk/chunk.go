@@ -74,6 +74,14 @@ func (g Geometry) Span(r Range) (first, last Idx) {
 	return Idx(r.Off / g.ChunkSize), Idx((r.End() - 1) / g.ChunkSize)
 }
 
+// Clip returns the part of r that falls within the chunk run [first, last],
+// with zero length if they do not overlap.
+func (g Geometry) Clip(r Range, first, last Idx) Range {
+	lo := max(r.Off, g.ChunkRange(first).Off)
+	hi := min(r.End(), g.ChunkRange(last).End())
+	return Range{Off: lo, Len: max(hi-lo, 0)}
+}
+
 // ChunkRange returns the byte range of chunk c (the final chunk may be
 // shorter than ChunkSize).
 func (g Geometry) ChunkRange(c Idx) Range {

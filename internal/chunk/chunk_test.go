@@ -37,6 +37,27 @@ func TestGeometrySpan(t *testing.T) {
 	}
 }
 
+func TestGeometryClip(t *testing.T) {
+	g := NewGeometry(1000, 256)
+	r := Range{Off: 100, Len: 700} // [100, 800): chunks 0..3
+	for _, c := range []struct {
+		first, last Idx
+		want        Range
+	}{
+		{0, 0, Range{Off: 100, Len: 156}}, // head clipped at r's start
+		{1, 2, Range{Off: 256, Len: 512}}, // run wholly inside r
+		{3, 3, Range{Off: 768, Len: 32}},  // tail clipped at r's end
+		{0, 3, r},                         // run covers r
+	} {
+		if got := g.Clip(r, c.first, c.last); got != c.want {
+			t.Errorf("Clip(%v, %d, %d) = %v, want %v", r, c.first, c.last, got, c.want)
+		}
+	}
+	if got := g.Clip(Range{Off: 0, Len: 10}, 2, 3); got.Len != 0 {
+		t.Errorf("disjoint Clip = %v, want zero length", got)
+	}
+}
+
 func TestFullyCovers(t *testing.T) {
 	g := NewGeometry(1024, 256)
 	if !g.FullyCovers(Range{Off: 0, Len: 512}, 0) || !g.FullyCovers(Range{Off: 0, Len: 512}, 1) {

@@ -348,25 +348,22 @@ func (im *Image) Read(p *sim.Proc, off, length int64) {
 	if length <= 0 {
 		return
 	}
-	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
+	req := chunk.Range{Off: off, Len: length}
+	first, last := im.geo.Span(req)
 	for c := first; c <= last; {
 		cat := im.category(c)
 		end := c
 		for end+1 <= last && im.category(end+1) == cat {
 			end++
 		}
-		r1 := im.geo.ChunkRange(c).Off
-		bytes := int64(clipBytes(im.geo, off, length, c, end))
 		switch cat {
-		case catLocal:
-			im.load(p, max64(off, r1), bytes)
 		case catRemaining:
 			im.onDemandPull(p, c, end)
-			im.load(p, max64(off, r1), bytes)
 		case catBase:
 			im.fetchBase(p, c, end)
-			im.load(p, max64(off, r1), bytes)
 		}
+		part := im.geo.Clip(req, c, end)
+		im.load(p, part.Off, part.Len)
 		c = end + 1
 	}
 }
@@ -451,9 +448,7 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 		// Synchronous mirroring: the write travels to the destination in
 		// parallel with the local write and must complete there before we
 		// acknowledge (Haselhorst et al.).
-		mirrorFlow = im.cl.TransferFlowPath(
-			im.cl.NetPath(side.node, im.dstNode),
-			float64(length), flow.TagMirror, nil)
+		mirrorFlow = im.cl.TransferFlow(side.node, im.dstNode, float64(length), flow.TagMirror, nil)
 		im.registerFlow(mirrorFlow)
 	}
 	// The write lands in the manager's backing store (host-cached file).
@@ -495,28 +490,4 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 		}
 	}
 	im.maybeComplete()
-}
-
-// max64 returns the larger of two int64s.
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// clipBytes returns the bytes of [off,off+length) within chunks [c..end].
-func clipBytes(geo chunk.Geometry, off, length int64, c, end chunk.Idx) float64 {
-	lo := geo.ChunkRange(c).Off
-	hi := geo.ChunkRange(end).End()
-	if off > lo {
-		lo = off
-	}
-	if off+length < hi {
-		hi = off + length
-	}
-	if hi < lo {
-		return 0
-	}
-	return float64(hi - lo)
 }

@@ -106,8 +106,12 @@ func (im *Image) startPush() {
 				return // aborted while charging compression time
 			}
 			im.pushBatch = batch
-			im.pushFlow = im.cl.TransferFlowPath(
-				im.streamPath(src.node, im.dstNode), wire, flow.TagStoragePush, nil)
+			// Push, mirror and pull streams all take the network path: chunk
+			// content is served from (and lands in) the hosts' page caches,
+			// the image being small relative to host RAM, and the
+			// physical-disk drain is modeled separately by the cache
+			// writeback.
+			im.pushFlow = im.cl.TransferFlow(src.node, im.dstNode, wire, flow.TagStoragePush, nil)
 			im.pushFlow.Wait(p)
 			if im.migEpoch != epoch {
 				// Aborted — and possibly already re-requested, in which case
@@ -197,7 +201,7 @@ func (im *Image) startBulkCopy() {
 			if im.migEpoch != epoch {
 				return // aborted during the request round trip
 			}
-			if !im.trackedTransfer(p, epoch, im.streamPath(src.node, im.dstNode), wire, flow.TagMirror) {
+			if !im.trackedTransfer(p, epoch, im.cl.NetPath(src.node, im.dstNode), wire, flow.TagMirror) {
 				return // aborted mid-transfer: nothing installed
 			}
 			im.stats.MirroredBytes += wire
@@ -256,14 +260,6 @@ func (im *Image) notifyInstall(first, last chunk.Idx) {
 	r1 := im.geo.ChunkRange(first)
 	r2 := im.geo.ChunkRange(last)
 	im.OnDestInstall(r1.Off, r2.End()-r1.Off)
-}
-
-// streamPath is the transfer path for migration streams. Chunk content is
-// served from (and lands in) the hosts' page caches — the image is small
-// relative to host RAM — so streams are network-bound; physical-disk drain
-// is modeled separately by the cache writeback.
-func (im *Image) streamPath(src, dst *fabric.Node) []*flow.Link {
-	return im.cl.NetPath(src, dst)
 }
 
 // Sync implements vm.DiskImage. Outside a migration it is a plain flush.
@@ -443,7 +439,7 @@ func (im *Image) pullChunks(p *sim.Proc, batch []chunk.Idx, onDemand bool) {
 	if im.migEpoch != epoch {
 		return // aborted during the request round trip
 	}
-	if !im.trackedTransfer(p, epoch, im.streamPath(src.node, im.cur.node), wire, flow.TagStoragePull) {
+	if !im.trackedTransfer(p, epoch, im.cl.NetPath(src.node, im.cur.node), wire, flow.TagStoragePull) {
 		return // aborted mid-transfer: nothing installed
 	}
 	im.pullsActive--

@@ -106,8 +106,10 @@ func TestFig4SmallShape(t *testing.T) {
 	}
 	// postcopy's long pull phases steal CPU the longest: its degradation
 	// must be at least our approach's (the paper's 3-4x gap in direction).
-	// Note: pvfs degradation under-reproduces in this model (EXPERIMENTS.md
-	// Deviation 4), so no ordering is asserted for it.
+	// No ordering is asserted for pvfs-shared: EXPERIMENTS.md (Figure 4)
+	// measures its degradation lowest of all, because its potential is
+	// already depressed before any migration starts (the paper's
+	// normalization).
 	our := byKey[string(cluster.OurApproach)+string(rune('0'+maxC))]
 	post := byKey[string(cluster.Postcopy)+string(rune('0'+maxC))]
 	if post.DegradationPct < our.DegradationPct {

@@ -108,23 +108,6 @@ func (c *Cluster) TransferFlow(src, dst *Node, size float64, tag flow.Tag, onDon
 	return f
 }
 
-// TransferFlowPath starts an asynchronous flow over an explicit link path
-// (e.g. a remote-read or stream path) and returns it.
-func (c *Cluster) TransferFlowPath(path []*flow.Link, size float64, tag flow.Tag, onDone func()) *flow.Flow {
-	f := &flow.Flow{Links: path, Size: size, Tag: tag, OnDone: onDone}
-	c.Net.Start(f)
-	return f
-}
-
-// TransferCapped performs a blocking network transfer with a per-flow rate
-// cap (e.g. the hypervisor migration speed limit).
-func (c *Cluster) TransferCapped(p *sim.Proc, src, dst *Node, size, maxRate float64, tag flow.Tag) {
-	if src != dst {
-		p.Sleep(c.P.NetLatency)
-	}
-	c.Net.TransferCapped(p, c.NetPath(src, dst), size, maxRate, tag)
-}
-
 // DiskIO performs a blocking local disk read or write of size bytes,
 // paying one disk access latency up front.
 func (c *Cluster) DiskIO(p *sim.Proc, node *Node, size float64, tag flow.Tag) {
@@ -132,45 +115,7 @@ func (c *Cluster) DiskIO(p *sim.Proc, node *Node, size float64, tag flow.Tag) {
 	c.Net.Transfer(p, []*flow.Link{node.Disk}, size, tag)
 }
 
-// DiskFlow starts an asynchronous local disk I/O and returns its flow.
-func (c *Cluster) DiskFlow(node *Node, size float64, tag flow.Tag, onDone func()) *flow.Flow {
-	f := &flow.Flow{Links: []*flow.Link{node.Disk}, Size: size, Tag: tag, OnDone: onDone}
-	c.Net.Start(f)
-	return f
-}
-
-// RemoteRead performs a blocking read of size bytes from server's disk into
-// client memory.
-func (c *Cluster) RemoteRead(p *sim.Proc, server, client *Node, size float64, tag flow.Tag) {
-	if server != client {
-		p.Sleep(c.P.NetLatency)
-	}
-	p.Sleep(c.P.DiskLatency)
-	c.Net.Transfer(p, c.RemoteReadPath(server, client), size, tag)
-}
-
-// RemoteWrite performs a blocking write of size bytes from client memory to
-// server's disk.
-func (c *Cluster) RemoteWrite(p *sim.Proc, client, server *Node, size float64, tag flow.Tag) {
-	if server != client {
-		p.Sleep(c.P.NetLatency)
-	}
-	p.Sleep(c.P.DiskLatency)
-	c.Net.Transfer(p, c.RemoteWritePath(client, server), size, tag)
-}
-
 // ControlRTT models one small control-message round trip between nodes.
 func (c *Cluster) ControlRTT(p *sim.Proc) {
 	p.Sleep(2 * c.P.NetLatency)
-}
-
-// StreamPath returns the path for a pipelined disk-to-disk stream between
-// nodes: the source disk read, the network hop, and the destination disk
-// write all proceed concurrently, so the stream runs at the slowest stage.
-// This models the migration manager's chunk streaming.
-func (c *Cluster) StreamPath(src, dst *Node) []*flow.Link {
-	if src == dst {
-		return []*flow.Link{src.Disk}
-	}
-	return []*flow.Link{src.Disk, src.NICOut, c.Fabric, dst.NICIn, dst.Disk}
 }

@@ -61,7 +61,7 @@ func TestRemoteReadDiskBottleneck(t *testing.T) {
 	c := NewCluster(eng, 2, testbed())
 	var doneAt sim.Time
 	eng.Go("x", func(p *sim.Proc) {
-		c.RemoteRead(p, c.Nodes[1], c.Nodes[0], 500, flow.TagRepo)
+		c.Net.Transfer(p, c.RemoteReadPath(c.Nodes[1], c.Nodes[0]), 500, flow.TagRepo)
 		doneAt = p.Now()
 	})
 	if err := eng.Run(); err != nil {
@@ -74,16 +74,18 @@ func TestRemoteReadDiskBottleneck(t *testing.T) {
 }
 
 func TestDiskContentionBetweenGuestAndMigration(t *testing.T) {
-	// Guest I/O and a migration stream share one disk: each gets half.
+	// Guest I/O and a disk-to-disk stream share one disk: each gets half.
 	eng := sim.New()
 	c := NewCluster(eng, 2, testbed())
+	src, dst := c.Nodes[0], c.Nodes[1]
+	stream := []*flow.Link{src.Disk, src.NICOut, c.Fabric, dst.NICIn, dst.Disk}
 	var tGuest, tStream sim.Time
 	eng.Go("guest", func(p *sim.Proc) {
 		c.DiskIO(p, c.Nodes[0], 100, flow.TagOther)
 		tGuest = p.Now()
 	})
 	eng.Go("stream", func(p *sim.Proc) {
-		c.Net.Transfer(p, c.StreamPath(c.Nodes[0], c.Nodes[1]), 100, flow.TagStoragePush)
+		c.Net.Transfer(p, stream, 100, flow.TagStoragePush)
 		tStream = p.Now()
 	})
 	if err := eng.Run(); err != nil {

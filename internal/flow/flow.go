@@ -1707,12 +1707,3 @@ func (n *Net) Transfer(p *sim.Proc, links []*Link, size float64, tag Tag) {
 	f.Wait(p)
 	n.ReleaseFlow(f)
 }
-
-// TransferCapped is Transfer with a per-flow rate cap.
-func (n *Net) TransferCapped(p *sim.Proc, links []*Link, size float64, maxRate float64, tag Tag) {
-	f := n.AcquireFlow()
-	f.Links, f.Size, f.MaxRate, f.Tag = links, size, maxRate, tag
-	n.Start(f)
-	f.Wait(p)
-	n.ReleaseFlow(f)
-}

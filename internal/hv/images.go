@@ -106,20 +106,17 @@ func (im *COWImage) Read(p *sim.Proc, off, length int64) {
 	if length <= 0 {
 		return
 	}
-	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
+	req := chunk.Range{Off: off, Len: length}
+	first, last := im.geo.Span(req)
 	for c := first; c <= last; {
 		inLocal := im.local.Contains(c)
 		end := im.local.RunEnd(c, last)
-		bytes := im.runBytes(off, length, c, end)
+		part := im.geo.Clip(req, c, end)
 		if inLocal {
-			lo := im.geo.ChunkRange(c).Off
-			if off > lo {
-				lo = off
-			}
-			im.loadLocal(p, lo, int64(bytes))
-			im.LocalReadBytes += bytes
+			im.loadLocal(p, part.Off, part.Len)
+			im.LocalReadBytes += float64(part.Len)
 		} else {
-			im.readBase(p, c, end, bytes)
+			im.readBase(p, c, end, float64(part.Len))
 		}
 		c = end + 1
 	}
@@ -270,18 +267,18 @@ func (im *SharedImage) Read(p *sim.Proc, off, length int64) {
 	if length <= 0 {
 		return
 	}
-	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
+	req := chunk.Range{Off: off, Len: length}
+	first, last := im.geo.Span(req)
 	for c := first; c <= last; {
 		inSnap := im.written.Contains(c)
 		end := im.written.RunEnd(c, last)
-		bytes := im.runBytes(off, length, c, end)
-		r1 := im.geo.ChunkRange(c)
+		bytes := im.geo.Clip(req, c, end).Len
 		src := im.base
 		if inSnap {
 			src = im.snap
 		}
-		src.Read(p, im.node, r1.Off, int64(bytes))
-		im.ReadBytes += bytes
+		src.Read(p, im.node, im.geo.ChunkRange(c).Off, bytes)
+		im.ReadBytes += float64(bytes)
 		c = end + 1
 	}
 }
@@ -316,29 +313,3 @@ func (im *SharedImage) writeFrom(p *sim.Proc, node *fabric.Node, off, length int
 
 // Sync implements vm.DiskImage: the PFS is already coherent.
 func (im *SharedImage) Sync(p *sim.Proc) {}
-
-// runBytes returns the bytes of [off,off+length) that fall within chunks
-// [c..end].
-func (im *SharedImage) runBytes(off, length int64, c, end chunk.Idx) float64 {
-	return runBytes(im.geo, off, length, c, end)
-}
-
-func (im *COWImage) runBytes(off, length int64, c, end chunk.Idx) float64 {
-	return runBytes(im.geo, off, length, c, end)
-}
-
-// runBytes clips the request [off, off+length) to the chunk run [c..end].
-func runBytes(geo chunk.Geometry, off, length int64, c, end chunk.Idx) float64 {
-	lo := geo.ChunkRange(c).Off
-	hi := geo.ChunkRange(end).End()
-	if off > lo {
-		lo = off
-	}
-	if off+length < hi {
-		hi = off + length
-	}
-	if hi < lo {
-		return 0
-	}
-	return float64(hi - lo)
-}

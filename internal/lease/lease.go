@@ -95,9 +95,6 @@ type Attachment struct {
 	released   bool
 }
 
-// Volume returns the volume name the attachment holds.
-func (a *Attachment) Volume() string { return a.vol.name }
-
 // volume is the manager's per-volume state.
 type volume struct {
 	name  string
@@ -129,8 +126,7 @@ type Manager struct {
 	opt       Options
 	reachable func(node int) bool
 
-	vols  map[string]*volume
-	names []string // volume creation order (deterministic iteration)
+	vols map[string]*volume
 
 	violations     int
 	firstViolation string
@@ -162,7 +158,6 @@ func (m *Manager) vol(name string) *volume {
 	if v == nil {
 		v = &volume{name: name}
 		m.vols[name] = v
-		m.names = append(m.names, name)
 	}
 	return v
 }
@@ -477,13 +472,6 @@ func (m *Manager) Holders(volName string) int {
 		}
 	}
 	return n
-}
-
-// Volumes returns the managed volume names in creation order.
-func (m *Manager) Volumes() []string {
-	out := make([]string, len(m.names))
-	copy(out, m.names)
-	return out
 }
 
 // Err returns a hard error wrapping ErrCorruption when the detector observed

@@ -114,8 +114,6 @@ type Guest struct {
 	CachePage int64
 	// CacheRegion is the guest RAM set aside for the page cache.
 	CacheRegion int64
-	// CommitInterval is the journal commit period (ext3 default 5 s).
-	CommitInterval float64
 	// JournalWrite is the size of one journal commit record.
 	JournalWrite int64
 	// MetadataEvery issues one inode-table/bitmap update per this many bytes
@@ -132,7 +130,6 @@ func DefaultGuest() Guest {
 		WritebackBatch:      16 * MB,
 		CachePage:           16 * KB,
 		CacheRegion:         2560 * MB,
-		CommitInterval:      5.0,
 		JournalWrite:        256 * KB,
 		MetadataEvery:       64 * MB,
 	}

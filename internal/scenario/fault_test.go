@@ -448,27 +448,38 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 // prefetch rate panicked out of Run; a NaN or infinite pull latency, a
 // zero cache bandwidth and a zero cache region ended in a
 // *sim.ProcPanicError; a zero metadata interval committed without end
-// until the horizon.
+// until the horizon. A boot footprint or working set the RAM cannot hold
+// panicked out of Run or ended in a *sim.ProcPanicError from the workload;
+// a negative boot footprint ran with the allocator's cursor below zero.
 func TestValidateRejectsBadConfig(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
 		name string
 		edit func(c *cluster.Config)
+		// w, when set, replaces the default IOR workload.
+		w func(set Setup) WorkloadSpec
 	}{
-		{"guest cache page zero", func(c *cluster.Config) { c.Guest.CachePage = 0 }},
-		{"manager push batch zero", func(c *cluster.Config) { c.Manager.PushBatch = 0 }},
-		{"manager pull batch negative", func(c *cluster.Config) { c.Manager.PullBatch = -1 }},
-		{"hypervisor memory page zero", func(c *cluster.Config) { c.HV.MemPageSize = 0 }},
-		{"hypervisor memory page above RAM", func(c *cluster.Config) { c.HV.MemPageSize = c.Testbed.RAM + 1 }},
-		{"testbed RAM zero", func(c *cluster.Config) { c.Testbed.RAM = 0 }},
-		{"hypervisor migration speed NaN", func(c *cluster.Config) { c.HV.MigrationSpeed = nan }},
-		{"manager base prefetch rate NaN", func(c *cluster.Config) { c.Manager.BasePrefetchRate = nan }},
-		{"manager pull request latency NaN", func(c *cluster.Config) { c.Manager.PullRequestLatency = nan }},
-		{"manager pull request latency +Inf", func(c *cluster.Config) { c.Manager.PullRequestLatency = math.Inf(1) }},
-		{"guest cache write bandwidth zero", func(c *cluster.Config) { c.Guest.CacheWriteBandwidth = 0 }},
-		{"guest cache read bandwidth zero", func(c *cluster.Config) { c.Guest.CacheReadBandwidth = 0 }},
-		{"guest cache region zero", func(c *cluster.Config) { c.Guest.CacheRegion = 0 }},
-		{"guest metadata interval zero", func(c *cluster.Config) { c.Guest.MetadataEvery = 0 }},
+		{"guest cache page zero", func(c *cluster.Config) { c.Guest.CachePage = 0 }, nil},
+		{"manager push batch zero", func(c *cluster.Config) { c.Manager.PushBatch = 0 }, nil},
+		{"manager pull batch negative", func(c *cluster.Config) { c.Manager.PullBatch = -1 }, nil},
+		{"hypervisor memory page zero", func(c *cluster.Config) { c.HV.MemPageSize = 0 }, nil},
+		{"hypervisor memory page above RAM", func(c *cluster.Config) { c.HV.MemPageSize = c.Testbed.RAM + 1 }, nil},
+		{"testbed RAM zero", func(c *cluster.Config) { c.Testbed.RAM = 0 }, nil},
+		{"hypervisor migration speed NaN", func(c *cluster.Config) { c.HV.MigrationSpeed = nan }, nil},
+		{"manager base prefetch rate NaN", func(c *cluster.Config) { c.Manager.BasePrefetchRate = nan }, nil},
+		{"manager pull request latency NaN", func(c *cluster.Config) { c.Manager.PullRequestLatency = nan }, nil},
+		{"manager pull request latency +Inf", func(c *cluster.Config) { c.Manager.PullRequestLatency = math.Inf(1) }, nil},
+		{"guest cache write bandwidth zero", func(c *cluster.Config) { c.Guest.CacheWriteBandwidth = 0 }, nil},
+		{"guest cache read bandwidth zero", func(c *cluster.Config) { c.Guest.CacheReadBandwidth = 0 }, nil},
+		{"guest cache region zero", func(c *cluster.Config) { c.Guest.CacheRegion = 0 }, nil},
+		{"guest metadata interval zero", func(c *cluster.Config) { c.Guest.MetadataEvery = 0 }, nil},
+		{"hypervisor booted footprint negative", func(c *cluster.Config) { c.HV.BootedFootprint = -c.Testbed.RAM }, nil},
+		{"hypervisor booted footprint twice RAM", func(c *cluster.Config) { c.HV.BootedFootprint = 2 * c.Testbed.RAM }, nil},
+		{"AsyncWR working set fills RAM", func(*cluster.Config) {}, func(set Setup) WorkloadSpec {
+			p := set.AsyncWR
+			p.WorkingSet = set.Cluster.Testbed.RAM
+			return AsyncWR(&p, 0)
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -479,8 +490,12 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 			}()
 			set := NewSetup(ScaleSmall, 4)
 			c.edit(&set.Cluster)
+			w := IOR(&set.IOR)
+			if c.w != nil {
+				w = c.w(set)
+			}
 			s := New(WithConfig(set.Cluster)).
-				AddVM(VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach, Workload: IOR(&set.IOR)}).
+				AddVM(VMSpec{Name: "a", Node: 0, Approach: cluster.OurApproach, Workload: w}).
 				MigrateAt("a", 1, 1)
 			if err := s.Validate(); !errors.Is(err, ErrInvalidScenario) {
 				t.Fatalf("Validate = %v, want ErrInvalidScenario", err)

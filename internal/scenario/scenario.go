@@ -647,6 +647,22 @@ func (s *Scenario) resolve() (cluster.Config, Setup, map[string]int, error) {
 	if err := validateConfig(cfg); err != nil {
 		return zero, Setup{}, nil, err
 	}
+	var workingSet int64
+	if s.opt.cm1 != nil {
+		workingSet = s.opt.cm1.WorkingSet
+	}
+	for _, v := range s.vms {
+		if v.Workload.Kind == WorkloadAsyncWR {
+			p := set.AsyncWR
+			if v.Workload.AsyncWR != nil {
+				p = *v.Workload.AsyncWR
+			}
+			workingSet = max(workingSet, p.WorkingSet)
+		}
+	}
+	if err := validateMemory(cfg, workingSet); err != nil {
+		return zero, Setup{}, nil, err
+	}
 	return cfg, set, byName, nil
 }
 
@@ -718,7 +734,8 @@ func validateWorkload(vm string, w WorkloadSpec) error {
 // runs with them: a zero cache region or cache bandwidth, and a latency or
 // rate cap that is NaN or infinite. A metadata interval of zero commits
 // without end at the first write. A negative latency or cap would run
-// silently as zero, which for a rate cap means uncapped.
+// silently as zero, which for a rate cap means uncapped; a negative boot
+// footprint would move the memory allocator's cursor below zero.
 func validateConfig(cfg cluster.Config) error {
 	tb, hv, g, m := cfg.Testbed, cfg.HV, cfg.Guest, cfg.Manager
 	for _, p := range [...]intParam{
@@ -747,12 +764,28 @@ func validateConfig(cfg cluster.Config) error {
 			return invalidf("%s %g is not a finite positive rate", p.name, p.v)
 		}
 	}
-	return checkParams("configuration", nil, []floatParam{
+	return checkParams("configuration", []intParam{{"hypervisor booted footprint", hv.BootedFootprint}}, []floatParam{
 		{"testbed network latency", tb.NetLatency}, {"testbed disk latency", tb.DiskLatency},
 		{"repository metadata latency", cfg.Repo.MetadataLatency},
 		{"manager pull request latency", m.PullRequestLatency},
 		{"hypervisor migration speed", hv.MigrationSpeed}, {"manager base prefetch rate", m.BasePrefetchRate},
 	})
+}
+
+// validateMemory rejects a VM whose RAM cannot hold what a run allocates in
+// it: the booted footprint, the guest page-cache region (capped at half the
+// RAM, as the guest takes it) and the largest workload working set, each
+// rounded up to whole pages as vm.Memory.Alloc rounds. Otherwise the
+// allocator panics when the VM boots or its workload starts.
+func validateMemory(cfg cluster.Config, workingSet int64) error {
+	ps, ram := cfg.HV.MemPageSize, cfg.Testbed.RAM
+	pages := func(b int64) int64 { return (b + ps - 1) / ps }
+	boot, cache := cfg.HV.BootedFootprint, min(cfg.Guest.CacheRegion, ram/2)
+	if need := pages(boot) + pages(cache) + pages(workingSet); need > pages(ram) {
+		return invalidf("VM memory of %d pages cannot hold a %d-byte boot footprint, a %d-byte page cache and a %d-byte working set (%d pages)",
+			pages(ram), boot, cache, workingSet, need)
+	}
+	return nil
 }
 
 // runner holds one VM's live workload instance for result collection.

@@ -706,15 +706,6 @@ func (s *Semaphore) Acquire(p *Proc) {
 	s.avail--
 }
 
-// TryAcquire takes a permit without blocking; reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail <= 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
 // Release returns one permit and wakes a waiter.
 func (s *Semaphore) Release(e *Engine) {
 	s.avail++

@@ -86,9 +86,7 @@ func (m *Memory) Alloc(bytes int64, touch bool) Region {
 	r := Region{First: m.allocNext, Last: m.allocNext + n - 1}
 	m.allocNext += n
 	if touch {
-		for c := r.First; c <= r.Last; c++ {
-			m.nonZero.Add(c)
-		}
+		m.nonZero.AddRange(r.First, r.Last) // a no-op for a zero-byte region
 	}
 	return r
 }
@@ -200,12 +198,6 @@ func (d *Dirtier) SetActive(active bool, now sim.Time) {
 	d.settle(now)
 	d.active = active
 	d.last = now
-}
-
-// SetRate changes the dirty rate at time now.
-func (d *Dirtier) SetRate(rate float64, now sim.Time) {
-	d.settle(now)
-	d.rate = rate
 }
 
 // settle applies elapsed dirtying to the memory bitmap.
