@@ -1,31 +1,25 @@
-// Package blob implements the cloud repository substrate: a striped,
-// replicated, versioned object store in the spirit of BlobSeer (Nicolae et
-// al.), which the paper uses to hold base VM disk images.
+// Package blob implements the cloud repository substrate: a striped object
+// store in the spirit of BlobSeer (Nicolae et al.), which the paper uses to
+// hold base VM disk images.
 //
-// A blob's content is split into fixed-size stripes distributed round-robin
-// over the participating storage nodes, so concurrent readers spread load
-// across servers — the property the paper relies on to avoid read contention
-// when many destinations fetch base-image content simultaneously.
+// A blob is split into fixed-size stripes distributed round-robin over the
+// participating storage nodes, so concurrent readers spread load across
+// servers — the property the paper relies on to avoid read contention when
+// many destinations fetch base-image content simultaneously.
 //
-// Writes never modify stripes in place: each write publishes a new version
-// whose stripe map shares unmodified stripes with its parent (shadowing).
-// Content is identified by 64-bit content IDs rather than materialized
-// bytes; see package core for how IDs propagate.
+// The repository only holds base images, which no run writes, so a blob is
+// read-only and stores no content: it moves bytes. Which content a
+// destination holds is tracked by package core.
 package blob
 
 import (
 	"fmt"
 
-	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
-
-// ContentID identifies the content of one stripe. The zero value means
-// "never written" (reads as zeros).
-type ContentID uint64
 
 // Store is the repository service.
 type Store struct {
@@ -33,12 +27,10 @@ type Store struct {
 	Servers []*fabric.Node
 	P       params.Repository
 
-	nextBlobID int
-	nextRead   int // round-robin replica selector
-	reads      uint64
-	readBytes  float64
-	perServer  []float64 // bytes served per server, for balance tests
-	fan        *fabric.FanOut
+	reads     uint64
+	readBytes float64
+	perServer []float64 // bytes served per server, for balance tests
+	fan       *fabric.FanOut
 
 	// reqBytes and reqOrder are gather's scratch: the bytes one request
 	// addresses on each server, indexed like Servers, and the servers in
@@ -55,12 +47,6 @@ func NewStore(c *fabric.Cluster, servers []*fabric.Node, p params.Repository) *S
 	if p.StripeSize <= 0 {
 		panic("blob: stripe size must be positive")
 	}
-	if p.Replication <= 0 {
-		p.Replication = 1
-	}
-	if p.Replication > len(servers) {
-		p.Replication = len(servers)
-	}
 	return &Store{
 		Cluster:   c,
 		Servers:   servers,
@@ -71,7 +57,8 @@ func NewStore(c *fabric.Cluster, servers []*fabric.Node, p params.Repository) *S
 	}
 }
 
-// Reads returns the number of read requests served.
+// Reads returns the number of per-server reads served: a request counts
+// once for each server it touches.
 func (s *Store) Reads() uint64 { return s.reads }
 
 // ReadBytes returns the total bytes served.
@@ -84,147 +71,49 @@ func (s *Store) ServerBytes() []float64 {
 	return out
 }
 
-// Blob is one versioned striped object.
+// Blob is one striped object.
 type Blob struct {
 	Store *Store
-	ID    int
 	Size  int64
-
-	version int
-	content chunk.IDs[ContentID] // per stripe; paged, as a base image is implicit and rarely written
 }
 
-// Stripes returns the number of stripes in the blob.
-func (b *Blob) Stripes() int { return b.content.Len() }
-
-// Version returns the blob's current version number.
-func (b *Blob) Version() int { return b.version }
-
-// Create allocates a blob of the given size with zero content. Stripe i is
-// placed on servers (i, i+1, ... i+R-1) mod N — BlobSeer-style round-robin
-// with replication. Placement is that formula, so a blob stores no table.
+// Create allocates a blob of the given size. Stripe i is placed on server
+// i mod N — BlobSeer-style round-robin. Placement is that formula, so a
+// blob stores no table.
 func (s *Store) Create(size int64) *Blob {
 	if size <= 0 {
 		panic("blob: size must be positive")
 	}
-	n := int((size + s.P.StripeSize - 1) / s.P.StripeSize)
-	b := &Blob{
-		Store:   s,
-		ID:      s.nextBlobID,
-		Size:    size,
-		content: chunk.NewIDs[ContentID](n),
-	}
-	s.nextBlobID++
-	return b
+	return &Blob{Store: s, Size: size}
 }
 
-// PutBase installs a base image without simulating the upload: stripe i
-// reads first+i until it is written. The IDs are implicit, so a base image
-// stores no table.
-func (b *Blob) PutBase(first ContentID) {
-	b.content = chunk.NewBaseIDs(b.content.Len(), first)
-	b.version++
-}
-
-// ContentAt returns the content ID of stripe i.
-func (b *Blob) ContentAt(i int) ContentID { return b.content.At(i) }
-
-// stripeServer picks the replica server for a read. round rotates the
-// replica choice across successive read requests so repeated reads of the
-// same stripes spread over all replicas deterministically.
-func (b *Blob) stripeServer(i, round int) int {
-	return b.replicaServer(i, (i+round)%b.Store.P.Replication)
-}
-
-// replicaServer returns the server holding replica r of stripe i.
-func (b *Blob) replicaServer(i, r int) int { return (i + r) % len(b.Store.Servers) }
-
-// Read fetches stripes [first, first+count) to the client node, blocking
-// until all data has arrived. It issues one flow per server, covering every
-// stripe of the request that server holds (round-robin placement spreads a
-// big read over many servers). Returns the content IDs of the stripes read.
-func (b *Blob) Read(p *sim.Proc, client *fabric.Node, first, count int) []ContentID {
-	if first < 0 || count <= 0 || first+count > b.content.Len() {
-		panic(fmt.Sprintf("blob: read [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
-	}
-	b.read(p, client, first, count)
-	out := make([]ContentID, count)
-	for i := range out {
-		out[i] = b.content.At(first + i)
-	}
-	return out
-}
-
-// read is Read without collecting the content IDs.
-func (b *Blob) read(p *sim.Proc, client *fabric.Node, first, count int) {
+// ReadRange fetches bytes [off, off+length) to the client, blocking until
+// all data has arrived. After a metadata round trip it issues one flow per
+// server, covering every addressed stripe that server holds (round-robin
+// placement spreads a big read over many servers).
+func (b *Blob) ReadRange(p *sim.Proc, client *fabric.Node, off, length int64) {
+	first, last := b.stripeSpan(off, length)
 	s := b.Store
 	p.Sleep(s.P.MetadataLatency)
-	round := s.nextRead
-	s.nextRead++
-	b.transfer(p, client, first, count, round, false)
-}
-
-// gather sums the bytes stripes [first, first+count) address on each server
-// into reqBytes and returns those servers in first-touch order. A read takes
-// replica (i+round) mod R of stripe i, a write its primary. The caller must
-// zero each server's reqBytes entry as it consumes it, before it yields.
-func (b *Blob) gather(first, count, round int, write bool) []int {
-	s := b.Store
-	order := s.reqOrder[:0]
-	for i := first; i < first+count; i++ {
-		srv := b.replicaServer(i, 0)
-		if !write {
-			srv = b.stripeServer(i, round)
-		}
-		if s.reqBytes[srv] == 0 {
-			order = append(order, srv)
-		}
-		s.reqBytes[srv] += b.stripeLen(i)
-	}
-	s.reqOrder = order
-	return order
-}
-
-// transfer moves stripes [first, first+count) between the client and the
-// servers holding them, one flow per server in first-touch order, and
-// blocks until every flow has completed.
-func (b *Blob) transfer(p *sim.Proc, client *fabric.Node, first, count, round int, write bool) {
-	s := b.Store
 	req := s.fan.Begin()
-	for _, srv := range b.gather(first, count, round, write) {
-		bytes := float64(s.reqBytes[srv])
-		s.reqBytes[srv] = 0
-		if write {
-			req.Write(client, srv, bytes)
-		} else {
-			s.reads++
-			s.readBytes += bytes
-			s.perServer[srv] += bytes
-			req.Read(srv, client, bytes)
-		}
+	for _, srv := range b.gather(first, last) {
+		req.Read(srv, client, s.serve(srv))
 	}
 	req.Wait(p)
 }
 
-// ReadAsync starts fetching stripes [first, first+count) to the client and
+// ReadRangeAsync starts fetching bytes [off, off+length) to the client and
 // calls onDone when every byte has arrived. Used by the destination's
-// base-image prefetcher. rateCap > 0 limits aggregate prefetch bandwidth.
-func (b *Blob) ReadAsync(client *fabric.Node, first, count int, rateCap float64, onDone func()) {
+// base-image prefetcher. rateCap > 0 limits each server flow's bandwidth.
+func (b *Blob) ReadRangeAsync(client *fabric.Node, off, length int64, rateCap float64, onDone func()) {
+	first, last := b.stripeSpan(off, length)
 	s := b.Store
-	round := s.nextRead
-	s.nextRead++
-	order := b.gather(first, count, round, false)
+	order := b.gather(first, last)
 	remaining := len(order)
 	for _, srv := range order {
-		bytes := float64(s.reqBytes[srv])
-		s.reqBytes[srv] = 0
-		server := s.Servers[srv]
-		s.reads++
-		s.readBytes += bytes
-		s.perServer[srv] += bytes
 		f := &flow.Flow{
-			Links:   s.Cluster.RemoteReadPath(server, client),
-			Size:    bytes,
+			Links:   s.Cluster.RemoteReadPath(s.Servers[srv], client),
+			Size:    s.serve(srv),
 			MaxRate: rateCap,
 			Tag:     flow.TagRepo,
 			OnDone: func() {
@@ -238,42 +127,41 @@ func (b *Blob) ReadAsync(client *fabric.Node, first, count int, rateCap float64,
 	}
 }
 
-// Write publishes new content for stripes [first, first+count): data moves
-// from the client to each stripe's primary server, then the blob's version
-// advances. ids supplies the new content IDs.
-func (b *Blob) Write(p *sim.Proc, client *fabric.Node, first int, ids []ContentID) {
-	count := len(ids)
-	if first < 0 || count == 0 || first+count > b.content.Len() {
-		panic(fmt.Sprintf("blob: write [%d,%d) of blob with %d stripes", first, first+count, b.content.Len()))
+// gather sums the bytes stripes [first, last] address on each server into
+// reqBytes and returns those servers in first-touch order. The caller must
+// serve each returned server before it yields.
+func (b *Blob) gather(first, last int) []int {
+	s := b.Store
+	order := s.reqOrder[:0]
+	for i := first; i <= last; i++ {
+		srv := i % len(s.Servers)
+		if s.reqBytes[srv] == 0 {
+			order = append(order, srv)
+		}
+		s.reqBytes[srv] += b.stripeLen(i)
 	}
-	p.Sleep(b.Store.P.MetadataLatency)
-	b.transfer(p, client, first, count, 0, true)
-	for i, id := range ids {
-		b.content.Set(first+i, id)
-	}
-	b.version++
+	s.reqOrder = order
+	return order
 }
 
-// StripeSpan converts a byte range to the stripe interval covering it.
-func (b *Blob) StripeSpan(off, length int64) (first, count int) {
+// serve consumes server srv's gathered bytes, counts them as served and
+// returns them.
+func (s *Store) serve(srv int) float64 {
+	bytes := float64(s.reqBytes[srv])
+	s.reqBytes[srv] = 0
+	s.reads++
+	s.readBytes += bytes
+	s.perServer[srv] += bytes
+	return bytes
+}
+
+// stripeSpan converts a byte range to the stripe interval [first, last]
+// covering it.
+func (b *Blob) stripeSpan(off, length int64) (first, last int) {
 	if off < 0 || length <= 0 || off+length > b.Size {
 		panic(fmt.Sprintf("blob: range [%d,%d) outside blob of %d bytes", off, off+length, b.Size))
 	}
-	first = int(off / b.Store.P.StripeSize)
-	last := int((off + length - 1) / b.Store.P.StripeSize)
-	return first, last - first + 1
-}
-
-// ReadRange is Read addressed in bytes instead of stripes.
-func (b *Blob) ReadRange(p *sim.Proc, client *fabric.Node, off, length int64) {
-	first, count := b.StripeSpan(off, length)
-	b.read(p, client, first, count)
-}
-
-// ReadRangeAsync is ReadAsync addressed in bytes instead of stripes.
-func (b *Blob) ReadRangeAsync(client *fabric.Node, off, length int64, rateCap float64, onDone func()) {
-	first, count := b.StripeSpan(off, length)
-	b.ReadAsync(client, first, count, rateCap, onDone)
+	return int(off / b.Store.P.StripeSize), int((off + length - 1) / b.Store.P.StripeSize)
 }
 
 // stripeLen returns the byte length of stripe i (the last may be short).

@@ -2,7 +2,7 @@
 // migration manager: index arithmetic between byte ranges and chunk indices,
 // dense bitmap sets, per-chunk write counters, a lazy-deletion priority
 // queue used by the prioritized prefetcher, and paged content-ID arrays
-// (IDs) for files and images that are mostly never written.
+// (IDs) for images that are mostly never written.
 //
 // A virtual disk image of S bytes with chunk size C has ceil(S/C) chunks,
 // numbered from zero. All sets in this package are dense (bitmap-backed)
@@ -80,6 +80,20 @@ func (g Geometry) Clip(r Range, first, last Idx) Range {
 	lo := max(r.Off, g.ChunkRange(first).Off)
 	hi := min(r.End(), g.ChunkRange(last).End())
 	return Range{Off: lo, Len: max(hi-lo, 0)}
+}
+
+// ForEachRun calls fn with the byte range of every maximal run of chunks in
+// s, in ascending order.
+func (g Geometry) ForEachRun(s *Set, fn func(off, length int64)) {
+	for c := Idx(0); ; {
+		start, n := s.NextRunFrom(c, 1<<30)
+		if start < 0 {
+			return
+		}
+		c = start + Idx(n)
+		off := g.ChunkRange(start).Off
+		fn(off, g.ChunkRange(c-1).End()-off)
+	}
 }
 
 // ChunkRange returns the byte range of chunk c (the final chunk may be

@@ -58,6 +58,21 @@ func TestGeometryClip(t *testing.T) {
 	}
 }
 
+// TestGeometryForEachRun: the runs come in order, each as one byte range,
+// and a run ending on the short last chunk ends at the image's end.
+func TestGeometryForEachRun(t *testing.T) {
+	g := NewGeometry(1000, 256) // chunks 0..3, the last 232 bytes
+	s := NewSet(g.Chunks())
+	s.Add(0)
+	s.AddRange(2, 3)
+	var got []Range
+	g.ForEachRun(s, func(off, length int64) { got = append(got, Range{Off: off, Len: length}) })
+	if want := []Range{{Off: 0, Len: 256}, {Off: 512, Len: 488}}; !slices.Equal(got, want) {
+		t.Fatalf("runs = %v, want %v", got, want)
+	}
+	g.ForEachRun(NewSet(g.Chunks()), func(off, length int64) { t.Fatalf("empty set reported run [%d,+%d)", off, length) })
+}
+
 func TestFullyCovers(t *testing.T) {
 	g := NewGeometry(1024, 256)
 	if !g.FullyCovers(Range{Off: 0, Len: 512}, 0) || !g.FullyCovers(Range{Off: 0, Len: 512}, 1) {

@@ -6,56 +6,36 @@ import "fmt"
 const idsPage = 512
 
 // IDs is a fixed-length array of content IDs whose entries read zero
-// ("never written") until set, or, built with a nonzero base, whose entry i
-// reads base+i until set: an image's base content, implicit rather than
-// stored. It is stored in pages of idsPage entries allocated on first
-// write, so a file or image whose writes cover a small part of it costs a
-// page table plus the pages written instead of one word per entry: a 4 GB
-// image has 16,384 chunks, most of which a run never writes.
-//
-// A page holds each entry as its difference from the entry's unwritten
-// value (modulo 2^64). A fresh page is then all zeros, and the entries of a
-// page that a write does not touch keep reading base+i, with no fill: that
-// keeps At and Set small enough to inline.
+// ("never written") until set. It is stored in pages of idsPage entries
+// allocated on first write, so an image whose writes cover a small
+// part of it costs a page table plus the pages written instead of one word
+// per entry: a 4 GB image has 16,384 chunks, most of which a run never
+// writes.
 type IDs[T ~uint64] struct {
 	n     int
-	base  T
 	pages [][]T
 }
 
 // NewIDs returns an array of n entries that read zero until set.
-func NewIDs[T ~uint64](n int) IDs[T] { return NewBaseIDs[T](n, 0) }
-
-// NewBaseIDs returns an array of n entries whose unwritten entry i reads
-// base+i, or zero when base is zero.
-func NewBaseIDs[T ~uint64](n int, base T) IDs[T] {
+func NewIDs[T ~uint64](n int) IDs[T] {
 	if n < 0 {
 		panic("chunk: negative IDs length")
 	}
-	return IDs[T]{n: n, base: base, pages: make([][]T, (n+idsPage-1)/idsPage)}
+	return IDs[T]{n: n, pages: make([][]T, (n+idsPage-1)/idsPage)}
 }
 
 // Len returns the number of entries.
 func (a *IDs[T]) Len() int { return a.n }
-
-// unwritten returns what entry i reads before its first write.
-func (a *IDs[T]) unwritten(i int) T {
-	if a.base == 0 {
-		return 0
-	}
-	return a.base + T(i)
-}
 
 // At returns entry i.
 func (a *IDs[T]) At(i int) T {
 	if uint(i) >= uint(a.n) {
 		panic(indexError{"ID", i, a.n})
 	}
-	v := a.unwritten(i)
 	if p := a.pages[uint(i)/idsPage]; p != nil {
-		v += p[uint(i)%idsPage]
+		return p[uint(i)%idsPage]
 	}
-	return v
+	return 0
 }
 
 // Set sets entry i to id.
@@ -67,7 +47,7 @@ func (a *IDs[T]) Set(i int, id T) {
 	if a.pages[k] == nil {
 		a.pages[k] = make([]T, idsPage)
 	}
-	a.pages[k][uint(i)%idsPage] = id - a.unwritten(i)
+	a.pages[k][uint(i)%idsPage] = id
 }
 
 // SetRange sets entries first..last (inclusive) to id.
@@ -83,7 +63,7 @@ func (a *IDs[T]) SetRange(first, last int, id T) {
 		}
 		p := a.pages[k][i-k*idsPage : end-k*idsPage]
 		for j := range p {
-			p[j] = id - a.unwritten(i+j)
+			p[j] = id
 		}
 		i = end
 	}

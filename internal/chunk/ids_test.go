@@ -13,14 +13,8 @@ type idsModel struct {
 	touched map[int]bool
 }
 
-func newIDsModel(n int, base uint64) *idsModel {
-	m := &idsModel{ref: make([]uint64, n), touched: make(map[int]bool)}
-	if base != 0 {
-		for i := range m.ref {
-			m.ref[i] = base + uint64(i)
-		}
-	}
-	return m
+func newIDsModel(n int) *idsModel {
+	return &idsModel{ref: make([]uint64, n), touched: make(map[int]bool)}
 }
 
 func (m *idsModel) setRange(first, last int, id uint64) {
@@ -51,92 +45,43 @@ func (m *idsModel) check(t *testing.T, a *IDs[uint64], what string) {
 }
 
 // TestIDsMatchesDense drives IDs and a dense slice with the same random Set
-// and SetRange calls, across page boundaries and a short last page, for a
-// zero and a nonzero base, and requires every read to agree.
+// and SetRange calls, across page boundaries and a short last page, and
+// requires every read to agree.
 func TestIDsMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, base := range []uint64{0, 1_000_000} {
-		for _, n := range []int{1, idsPage - 1, idsPage, idsPage + 1, 3*idsPage + 17} {
-			a := NewBaseIDs(n, base)
-			m := newIDsModel(n, base)
-			for op := 0; op < 200; op++ {
-				id := uint64(op + 1)
-				switch first := rng.Intn(n); rng.Intn(4) {
-				case 0:
-					a.Set(first, id)
-					m.setRange(first, first, id)
-				default:
-					last := first + rng.Intn(min(n-first, 2*idsPage+3))
-					a.SetRange(first, last, id)
-					m.setRange(first, last, id)
-				}
-				m.check(t, &a, "dense")
+	for _, n := range []int{1, idsPage - 1, idsPage, idsPage + 1, 3*idsPage + 17} {
+		a := NewIDs[uint64](n)
+		m := newIDsModel(n)
+		for op := 0; op < 200; op++ {
+			id := uint64(op + 1)
+			switch first := rng.Intn(n); rng.Intn(4) {
+			case 0:
+				a.Set(first, id)
+				m.setRange(first, first, id)
+			default:
+				last := first + rng.Intn(min(n-first, 2*idsPage+3))
+				a.SetRange(first, last, id)
+				m.setRange(first, last, id)
 			}
+			m.check(t, &a, "dense")
 		}
-	}
-}
-
-// TestBaseIDs: an unwritten entry reads base+i, the first Set into a page
-// leaves that page's other entries at base+i, and Snapshot is right over a
-// mix of written and unwritten pages.
-func TestBaseIDs(t *testing.T) {
-	const base = 1_000_000
-	n := 3*idsPage + 5
-	a := NewBaseIDs[uint64](n, base)
-	for _, i := range []int{0, 1, idsPage - 1, idsPage, n - 1} {
-		if got := a.At(i); got != base+uint64(i) {
-			t.Fatalf("unwritten At(%d) = %d, want %d", i, got, base+uint64(i))
-		}
-	}
-	a.Set(idsPage+7, 42)
-	if a.Pages() != 1 {
-		t.Fatalf("one Set allocated %d pages, want 1", a.Pages())
-	}
-	for i := idsPage; i < 2*idsPage; i++ {
-		want := base + uint64(i)
-		if i == idsPage+7 {
-			want = 42
-		}
-		if got := a.At(i); got != want {
-			t.Fatalf("At(%d) = %d after a Set into its page, want %d", i, got, want)
-		}
-	}
-	a.SetRange(n-3, n-1, 9) // the short last page
-	snap := a.Snapshot()
-	for i, got := range snap {
-		want := base + uint64(i)
-		switch {
-		case i == idsPage+7:
-			want = 42
-		case i >= n-3:
-			want = 9
-		}
-		if got != want {
-			t.Fatalf("Snapshot[%d] = %d, want %d", i, got, want)
-		}
-	}
-	if zero := NewIDs[uint64](n); zero.At(n-1) != 0 {
-		t.Fatal("NewIDs must read zero when unwritten")
 	}
 }
 
 // FuzzIDs replays fuzzer bytes as Set, SetRange and At calls on an IDs
 // array and a dense reference: the first byte sizes the array (1..2041
-// entries, up to four pages), the second picks base 0 or a nonzero base,
-// then every four bytes are one operation (kind, a 16-bit index, a range
-// length). The seed corpus is under testdata/fuzz/FuzzIDs.
+// entries, up to four pages), the second is skipped (it once chose an
+// implicit base, and the committed corpus still carries it), then every
+// four bytes are one operation (kind, a 16-bit index, a range length). The
+// seed corpus is under testdata/fuzz/FuzzIDs.
 func FuzzIDs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		n := 1 + 8*int(data[0])
-		var base uint64
-		if data[1]&1 != 0 {
-			base = 1_000_000
-		}
-		a := NewBaseIDs(n, base)
-		m := newIDsModel(n, base)
+		a := NewIDs[uint64](n)
+		m := newIDsModel(n)
 		data = data[2:]
 		for op := 0; len(data) >= 4 && op < 64; op, data = op+1, data[4:] {
 			i := (int(data[1])<<8 | int(data[2])) % n
@@ -160,7 +105,7 @@ func FuzzIDs(f *testing.F) {
 }
 
 // TestIDsAllocatesOnlyWrittenPages checks the point of the type: an
-// unwritten array reads its base without pages, and a write allocates only
+// unwritten array reads zero without pages, and a write allocates only
 // the pages it touches.
 func TestIDsAllocatesOnlyWrittenPages(t *testing.T) {
 	a := NewIDs[uint64](16 * idsPage)

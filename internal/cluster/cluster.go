@@ -156,11 +156,8 @@ func New(cfg Config) *Testbed {
 		geo:  chunk.NewGeometry(cfg.Testbed.ImageSize, cfg.Testbed.ChunkSize),
 		bus:  &trace.Bus{},
 	}
-	// Distinct base content: stripe i holds ID 1_000_000+i in both stores.
 	tb.baseBlob = repo.Create(cfg.Testbed.ImageSize)
-	tb.baseBlob.PutBase(1_000_000)
 	tb.basePFS = fs.Create("base.img", cfg.Testbed.ImageSize)
-	tb.basePFS.PutBase(1_000_000)
 	// The attachment manager's reachability probe is the fabric's partition
 	// state: a node inside a partition window cannot renew its leases.
 	tb.leases = lease.NewManager(eng, tb.bus, cfg.Lease, func(node int) bool {
@@ -234,7 +231,7 @@ func (tb *Testbed) Launch(name string, nodeIdx int, approach Approach) *Instance
 	cfg := tb.Cfg
 	mem := vm.NewMemory(cfg.Testbed.RAM, cfg.HV.MemPageSize)
 	mem.Alloc(cfg.HV.BootedFootprint, true) // kernel + userland
-	v := vm.New(tb.Eng, name, node, mem, 2)
+	v := vm.New(tb.Eng, name, node, mem)
 
 	inst := &Instance{Name: name, Approach: approach, VM: v}
 	inst.Strategy = def.Provision(tb.strategyEnv(), name, node)

@@ -294,17 +294,7 @@ func (im *Image) ModifiedCount() int { return im.cur.modified.Count() }
 // chunks on the active side (byte offsets). The orchestrator uses it to
 // warm the destination cache after control transfer.
 func (im *Image) ForEachLocalRange(fn func(off, length int64)) {
-	c := chunk.Idx(0)
-	for {
-		start, n := im.cur.local.NextRunFrom(c, 1<<30)
-		if start < 0 {
-			return
-		}
-		r1 := im.geo.ChunkRange(start)
-		r2 := im.geo.ChunkRange(start + chunk.Idx(n-1))
-		fn(r1.Off, r2.End()-r1.Off)
-		c = start + chunk.Idx(n)
-	}
+	im.geo.ForEachRun(im.cur.local, fn)
 }
 
 // isDest reports whether guest I/O currently lands on a destination that is

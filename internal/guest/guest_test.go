@@ -53,7 +53,7 @@ func newTestGuestSized(eng *sim.Engine, imageSize int64) (*Guest, *stubImage) {
 	tb.DiskLatency = 0
 	cl := fabric.NewCluster(eng, 1, tb)
 	mem := vm.NewMemory(testRAM, 256*params.KB)
-	v := vm.New(eng, "vm0", cl.Nodes[0], mem, 1)
+	v := vm.New(eng, "vm0", cl.Nodes[0], mem)
 	img := &stubImage{
 		geo:  chunk.NewGeometry(imageSize, 256*params.KB),
 		cl:   cl,
@@ -80,7 +80,7 @@ func TestPassthroughModeBypassesCache(t *testing.T) {
 	tb.DiskLatency = 0
 	cl := fabric.NewCluster(eng, 1, tb)
 	mem := vm.NewMemory(testRAM, 256*params.KB)
-	v := vm.New(eng, "vm0", cl.Nodes[0], mem, 1)
+	v := vm.New(eng, "vm0", cl.Nodes[0], mem)
 	img := &stubImage{geo: chunk.NewGeometry(testImageSize, 256*params.KB), cl: cl, node: cl.Nodes[0]}
 	v.Image = img
 	g := New(eng, v, params.DefaultGuest(), Options{HostCache: false, Buffered: true, Inner: img}) // passthrough

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/chunk"
@@ -39,7 +40,7 @@ func newRig(t *testing.T) *rig {
 	cl := fabric.NewCluster(eng, 3, tb)
 	fs := pfs.NewFS(cl, cl.Nodes[2:3], pfs.Params{StripeSize: 256 * params.KB})
 	mem := vm.NewMemory(ramSize, 1*mb)
-	v := vm.New(eng, "vm0", cl.Nodes[0], mem, 1)
+	v := vm.New(eng, "vm0", cl.Nodes[0], mem)
 	return &rig{eng: eng, cl: cl, fs: fs, v: v,
 		geo: chunk.NewGeometry(imageSize, 256*params.KB)}
 }
@@ -196,7 +197,6 @@ func TestGuestPausedExactlyDuringDowntime(t *testing.T) {
 func TestCOWImageReadWrite(t *testing.T) {
 	r := newRig(t)
 	base := r.fs.Create("base", imageSize)
-	base.PutBase(1)
 	im := NewCOWImage(r.cl, r.cl.Nodes[0], r.geo, base, nil)
 	r.eng.Go("io", func(p *sim.Proc) {
 		im.Read(p, 0, 1*mb) // base read via PFS
@@ -297,9 +297,35 @@ func TestSharedImageAllIOOverNetwork(t *testing.T) {
 	if got := r.cl.Net.BytesByTag(flow.TagPFS); got != 9*mb {
 		t.Fatalf("PFS traffic = %v, want 9 MB (4 write + 5 read)", got)
 	}
-	snapChunk := im.content.Snapshot()[0]
-	if snapChunk == 0 {
-		t.Fatal("snapshot content not recorded")
+	if !im.written.Contains(0) || im.written.Count() != 16 {
+		t.Fatalf("snapshot holds %d chunks, want the 16 written", im.written.Count())
+	}
+}
+
+// TestSharedImageReadMidChunk: with PFS stripes smaller than a chunk, a
+// read that starts inside a chunk is served by the servers holding the
+// bytes it addresses, not those holding the chunk's first bytes.
+func TestSharedImageReadMidChunk(t *testing.T) {
+	const kb = params.KB
+	eng := sim.New()
+	tb := params.DefaultTestbed()
+	tb.NetLatency = 0
+	tb.DiskLatency = 0
+	cl := fabric.NewCluster(eng, 5, tb)
+	servers := cl.Nodes[1:]
+	fs := pfs.NewFS(cl, servers, pfs.Params{StripeSize: 64 * kb})
+	geo := chunk.NewGeometry(imageSize, 256*kb)
+	im := NewSharedImage(cl, cl.Nodes[0], geo, fs.Create("base", imageSize), fs.Create("snap", imageSize))
+	eng.Go("io", func(p *sim.Proc) {
+		im.Read(p, 192*kb, 128*kb) // base stripes 3 and 4, across chunks 0 and 1
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{64 * kb, 0, 0, 64 * kb} {
+		if got := servers[i].Disk.Bytes(); math.Abs(got-want) > 1e-6 {
+			t.Errorf("PFS server %d disk carried %v bytes, want %v", i, got, want)
+		}
 	}
 }
 
@@ -326,7 +352,7 @@ func TestSharedImageMigrationIsMemoryOnly(t *testing.T) {
 		t.Fatal("image client side not rehomed")
 	}
 	// Content written before migration is still visible after (shared).
-	if im.content.Snapshot()[0] == 0 {
+	if !im.written.Contains(0) {
 		t.Fatal("shared content lost across migration")
 	}
 }

@@ -22,9 +22,7 @@ type COWImage struct {
 	base    *pfs.File
 	backing vm.DiskImage // host-cached local qcow2 file (nil = raw disk time)
 
-	local    *chunk.Set        // chunks allocated in the COW snapshot
-	content  chunk.IDs[uint64] // content IDs of allocated chunks, paged on first write
-	seq      uint64
+	local    *chunk.Set // chunks allocated in the COW snapshot
 	tracking bool       // block-dirty log armed (during migration)
 	dirty    *chunk.Set // blocks dirtied since last collection
 
@@ -51,7 +49,6 @@ func NewCOWImage(cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, base
 		base:    base,
 		backing: backing,
 		local:   chunk.NewSet(geo.Chunks()),
-		content: chunk.NewIDs[uint64](geo.Chunks()),
 		dirty:   chunk.NewSet(geo.Chunks()),
 	}
 }
@@ -86,17 +83,7 @@ func (im *COWImage) LocalSet() *chunk.Set { return im.local }
 // ForEachLocalRange calls fn for every maximal run of allocated chunks
 // (byte offsets).
 func (im *COWImage) ForEachLocalRange(fn func(off, length int64)) {
-	c := chunk.Idx(0)
-	for {
-		start, n := im.local.NextRunFrom(c, 1<<30)
-		if start < 0 {
-			return
-		}
-		r1 := im.geo.ChunkRange(start)
-		r2 := im.geo.ChunkRange(start + chunk.Idx(n-1))
-		fn(r1.Off, r2.End()-r1.Off)
-		c = start + chunk.Idx(n)
-	}
+	im.geo.ForEachRun(im.local, fn)
 }
 
 // Read implements vm.DiskImage: allocated chunks come from the local disk,
@@ -151,10 +138,6 @@ func (im *COWImage) Write(p *sim.Proc, off, length int64) {
 	im.local.AddRange(first, last)
 	if im.tracking {
 		im.dirty.AddRange(first, last)
-	}
-	for c := first; c <= last; c++ {
-		im.seq++
-		im.content.Set(int(c), im.seq)
 	}
 }
 
@@ -220,8 +203,6 @@ type SharedImage struct {
 	snap *pfs.File
 
 	written *chunk.Set // chunks present in the snapshot
-	content chunk.IDs[uint64]
-	seq     uint64
 
 	// Guard, when non-nil, gates every write through the attachment
 	// manager's lease check (nil preserves the unguarded baseline exactly).
@@ -248,7 +229,6 @@ func NewSharedImage(cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, b
 		base:    base,
 		snap:    snap,
 		written: chunk.NewSet(geo.Chunks()),
-		content: chunk.NewIDs[uint64](geo.Chunks()),
 	}
 }
 
@@ -272,13 +252,13 @@ func (im *SharedImage) Read(p *sim.Proc, off, length int64) {
 	for c := first; c <= last; {
 		inSnap := im.written.Contains(c)
 		end := im.written.RunEnd(c, last)
-		bytes := im.geo.Clip(req, c, end).Len
+		part := im.geo.Clip(req, c, end)
 		src := im.base
 		if inSnap {
 			src = im.snap
 		}
-		src.Read(p, im.node, im.geo.ChunkRange(c).Off, bytes)
-		im.ReadBytes += float64(bytes)
+		src.Read(p, im.node, part.Off, part.Len)
+		im.ReadBytes += float64(part.Len)
 		c = end + 1
 	}
 }
@@ -303,12 +283,10 @@ func (im *SharedImage) writeFrom(p *sim.Proc, node *fabric.Node, off, length int
 		im.FencedWriteBytes += float64(length)
 		return
 	}
-	im.seq++
-	im.snap.Write(p, node, off, length, pfs.ContentID(im.seq))
+	im.snap.Write(p, node, off, length)
 	im.WriteBytes += float64(length)
 	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
 	im.written.AddRange(first, last)
-	im.content.SetRange(int(first), int(last), im.seq)
 }
 
 // Sync implements vm.DiskImage: the PFS is already coherent.

@@ -197,15 +197,13 @@ func DefaultManager() Manager {
 type Repository struct {
 	// StripeSize is the striping unit (256 KB per Section 5.2.1).
 	StripeSize int64
-	// Replication is the number of copies of each stripe.
-	Replication int
-	// MetadataLatency models one metadata round trip (version lookup).
+	// MetadataLatency models one metadata round trip (stripe lookup).
 	MetadataLatency float64
 }
 
 // DefaultRepository returns the paper's repository configuration.
 func DefaultRepository() Repository {
-	return Repository{StripeSize: 256 * KB, Replication: 1, MetadataLatency: 0.0002}
+	return Repository{StripeSize: 256 * KB, MetadataLatency: 0.0002}
 }
 
 // IOR holds the IOR benchmark configuration from Section 5.3.

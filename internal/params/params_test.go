@@ -104,9 +104,6 @@ func TestDefaultManagerAndRepository(t *testing.T) {
 	if r.StripeSize != tb.ChunkSize {
 		t.Errorf("stripe %d != chunk %d: manager and repository must agree (Section 5.2.1)", r.StripeSize, tb.ChunkSize)
 	}
-	if r.Replication < 1 {
-		t.Errorf("replication %d", r.Replication)
-	}
 }
 
 // TestDefaultAsyncWRReconstruction verifies the documented reconstruction:

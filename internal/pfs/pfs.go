@@ -6,21 +6,17 @@
 //
 // Files are striped round-robin over I/O server nodes. Every read and write
 // is synchronous: the client pays a metadata round trip plus data flows
-// to/from the servers holding the addressed stripes. Content IDs mirror the
-// convention of package blob.
+// to/from the servers holding the addressed stripes. Files store no content:
+// which content a VM's disk holds is tracked by package core.
 package pfs
 
 import (
 	"fmt"
 
-	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
-
-// ContentID identifies stripe content (zero = never written).
-type ContentID uint64
 
 // Params configures the file system.
 type Params struct {
@@ -70,10 +66,9 @@ func (fs *FS) Requests() uint64 { return fs.requests }
 
 // File is one striped file.
 type File struct {
-	fs      *FS
-	Name    string
-	Size    int64
-	content chunk.IDs[ContentID] // per stripe; sparse, as most of a snapshot is never written
+	fs   *FS
+	Name string
+	Size int64
 }
 
 // Create makes a file of fixed size (a preallocated virtual disk or
@@ -86,27 +81,13 @@ func (fs *FS) Create(name string, size int64) *File {
 	if _, ok := fs.files[name]; ok {
 		panic(fmt.Sprintf("pfs: file %q already exists", name))
 	}
-	n := int((size + fs.P.StripeSize - 1) / fs.P.StripeSize)
-	f := &File{fs: fs, Name: name, Size: size, content: chunk.NewIDs[ContentID](n)}
+	f := &File{fs: fs, Name: name, Size: size}
 	fs.files[name] = f
 	return f
 }
 
 // Open returns an existing file or nil.
 func (fs *FS) Open(name string) *File { return fs.files[name] }
-
-// Stripes returns the stripe count.
-func (f *File) Stripes() int { return f.content.Len() }
-
-// ContentAt returns the content ID of stripe i.
-func (f *File) ContentAt(i int) ContentID { return f.content.At(i) }
-
-// PutBase installs base content without simulating the upload: stripe i
-// reads first+i until it is written. The IDs are implicit, so a base file
-// stores no table.
-func (f *File) PutBase(first ContentID) {
-	f.content = chunk.NewBaseIDs(f.content.Len(), first)
-}
 
 // stripeLen returns the byte length of stripe i.
 func (f *File) stripeLen(i int) int64 {
@@ -176,10 +157,7 @@ func (f *File) Read(p *sim.Proc, client *fabric.Node, off, length int64) {
 }
 
 // Write stores [off, off+length) from the client, blocking until all
-// servers acknowledge, and updates stripe content IDs. Stripes only
-// partially covered keep a derived ID (read-modify-write on the server).
-func (f *File) Write(p *sim.Proc, client *fabric.Node, off, length int64, id ContentID) {
+// servers acknowledge.
+func (f *File) Write(p *sim.Proc, client *fabric.Node, off, length int64) {
 	f.io(p, client, off, length, true)
-	first, last := f.span(off, length)
-	f.content.SetRange(first, last, id)
 }

@@ -25,35 +25,14 @@ func testFS(nServers int) (*sim.Engine, *fabric.Cluster, *FS) {
 func TestCreateOpen(t *testing.T) {
 	_, _, fs := testFS(2)
 	f := fs.Create("disk.qcow2", 950)
-	if f.Stripes() != 10 {
-		t.Fatalf("stripes = %d", f.Stripes())
+	if first, last := f.span(0, f.Size); first != 0 || last != 9 {
+		t.Fatalf("stripes = [%d, %d], want [0, 9]", first, last)
 	}
 	if fs.Open("disk.qcow2") != f {
 		t.Fatal("Open did not find file")
 	}
 	if fs.Open("missing") != nil {
 		t.Fatal("Open invented a file")
-	}
-}
-
-func TestWriteUpdatesContent(t *testing.T) {
-	eng, c, fs := testFS(2)
-	f := fs.Create("f", 1000)
-	client := c.Nodes[3]
-	eng.Go("w", func(p *sim.Proc) {
-		f.Write(p, client, 150, 200, 42) // touches stripes 1,2,3
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []ContentID{0, 42, 42, 42, 0, 0, 0, 0, 0, 0}
-	for i, w := range want {
-		if f.ContentAt(i) != w {
-			t.Fatalf("content[%d] = %d, want %d", i, f.ContentAt(i), w)
-		}
-	}
-	if fs.WriteBytes() != 200 {
-		t.Fatalf("write bytes = %v, want 200", fs.WriteBytes())
 	}
 }
 
@@ -84,7 +63,7 @@ func TestPartialStripeAccounting(t *testing.T) {
 	f := fs.Create("f", 1000)
 	client := c.Nodes[3]
 	eng.Go("w", func(p *sim.Proc) {
-		f.Write(p, client, 150, 100, 7) // 50 bytes in stripe 1, 50 in stripe 2
+		f.Write(p, client, 150, 100) // 50 bytes in stripe 1, 50 in stripe 2
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -101,7 +80,7 @@ func TestEveryIOCrossesNetwork(t *testing.T) {
 	client := c.Nodes[3]
 	eng.Go("w", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
-			f.Write(p, client, int64(i*100), 100, ContentID(i))
+			f.Write(p, client, int64(i*100), 100)
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -126,17 +105,25 @@ func TestOutOfRangePanics(t *testing.T) {
 
 // TestRequestAllocs pins a warmed request at zero allocations: its flows
 // come from the net's pool, its paths from the per-client cache and the
-// request itself from the fan-out's free list.
+// request itself from the fan-out's free list. A write to stripes no
+// earlier write touched allocates nothing either: a file keeps no
+// per-stripe state.
 func TestRequestAllocs(t *testing.T) {
+	const page = 512 * 100 // 512 stripes of 100 bytes
+	fresh := int64(0)
 	for _, tc := range []struct {
 		name string
 		req  func(p *sim.Proc, f *File, client *fabric.Node)
 	}{
-		{"write", func(p *sim.Proc, f *File, client *fabric.Node) { f.Write(p, client, 150, 400, 42) }},
+		{"write", func(p *sim.Proc, f *File, client *fabric.Node) { f.Write(p, client, 150, 400) }},
 		{"read", func(p *sim.Proc, f *File, client *fabric.Node) { f.Read(p, client, 150, 400) }},
+		{"first-touch write", func(p *sim.Proc, f *File, client *fabric.Node) {
+			f.Write(p, client, fresh*page, 400)
+			fresh++
+		}},
 	} {
 		eng, c, fs := testFS(3)
-		f, client := fs.Create("f", 1000), c.Nodes[4]
+		f, client := fs.Create("f", 128*page), c.Nodes[4]
 		a := requestAllocs(t, eng, func(p *sim.Proc) { tc.req(p, f, client) })
 		eng.Stop()
 		if a != 0 {

@@ -36,14 +36,12 @@ func provisionMultiattach(env Env, vmName string, node *fabric.Node) Instance {
 		vol: vmName,
 		img: hv.NewSharedImage(env.Cl, node, env.Geo, env.BasePFS, snap),
 	}
-	if env.Leases != nil {
-		att, err := env.Leases.Acquire(vmName, node.ID)
-		if err != nil {
-			panic("strategy: multiattach provision could not acquire lease: " + err.Error())
-		}
-		s.src = att
-		s.img.Guard = leaseGuard{m: env.Leases, vol: vmName}
+	att, err := env.Leases.Acquire(vmName, node.ID)
+	if err != nil {
+		panic("strategy: multiattach provision could not acquire lease: " + err.Error())
 	}
+	s.src = att
+	s.img.Guard = leaseGuard{m: env.Leases, vol: vmName}
 	return s
 }
 
@@ -91,47 +89,43 @@ func (s *multiattach) Migrate(m *Migration) Outcome {
 	lm := s.env.Leases
 	s.fenced, s.transferred = false, false
 	s.abortH = m.Abort
-	if lm != nil {
-		// A previous attempt may have been fenced at the source; the retry
-		// re-acquires once the source is reachable again.
-		if s.src == nil || s.src.Fenced {
-			att, err := lm.Acquire(s.vol, m.Src.ID)
-			if err != nil {
-				return Outcome{Aborted: true, Fenced: true}
-			}
-			s.src = att
-		}
-		// Lease negotiation with the attachment manager is a control round
-		// trip; an unreachable destination refuses the dual-attach, which is
-		// equivalent to being fenced before the window opens.
-		s.env.Cl.ControlRTT(m.P)
-		datt, err := lm.Acquire(s.vol, m.Dst.ID)
+	// A previous attempt may have been fenced at the source; the retry
+	// re-acquires once the source is reachable again.
+	if s.src.Fenced {
+		att, err := lm.Acquire(s.vol, m.Src.ID)
 		if err != nil {
 			return Outcome{Aborted: true, Fenced: true}
 		}
-		s.dst = datt
-		lm.BeginWindow(s.vol, s.onFence, s.onFailover)
+		s.src = att
 	}
+	// Lease negotiation with the attachment manager is a control round
+	// trip; an unreachable destination refuses the dual-attach, which is
+	// equivalent to being fenced before the window opens.
+	s.env.Cl.ControlRTT(m.P)
+	datt, err := lm.Acquire(s.vol, m.Dst.ID)
+	if err != nil {
+		return Outcome{Aborted: true, Fenced: true}
+	}
+	s.dst = datt
+	lm.BeginWindow(s.vol, s.onFence, s.onFailover)
 	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
 	if res.Aborted {
-		s.closeWindow(lm, false)
+		s.closeWindow(false)
 		return Outcome{HV: res, Aborted: true, Fenced: s.fenced}
 	}
-	if lm != nil {
-		if !lm.TransferAuthority(s.dst) {
-			// The destination lease died at the very instant of switchover;
-			// treat it as a fence of the attempt. The hypervisor has already
-			// resumed the guest at the destination, so move it back — the
-			// source still holds the volume.
-			s.fenced = true
-			m.VM.MoveTo(m.Src)
-			s.closeWindow(lm, false)
-			return Outcome{HV: res, Aborted: true, Fenced: true}
-		}
-		s.transferred = true
+	if !lm.TransferAuthority(s.dst) {
+		// The destination lease died at the very instant of switchover;
+		// treat it as a fence of the attempt. The hypervisor has already
+		// resumed the guest at the destination, so move it back — the
+		// source still holds the volume.
+		s.fenced = true
+		m.VM.MoveTo(m.Src)
+		s.closeWindow(false)
+		return Outcome{HV: res, Aborted: true, Fenced: true}
 	}
+	s.transferred = true
 	s.img.MoveTo(m.Dst)
-	s.closeWindow(lm, true)
+	s.closeWindow(true)
 	return Outcome{HV: res, MigrationTime: res.ControlTransfer - m.Start}
 }
 
@@ -139,10 +133,8 @@ func (s *multiattach) Migrate(m *Migration) Outcome {
 // on success the source lease is released and the destination becomes the
 // new home lease; on an aborted attempt the destination lease is released
 // (unless the reconciler already fenced it — the straggler detach).
-func (s *multiattach) closeWindow(lm *lease.Manager, success bool) {
-	if lm == nil {
-		return
-	}
+func (s *multiattach) closeWindow(success bool) {
+	lm := s.env.Leases
 	lm.EndWindow(s.vol)
 	if success {
 		lm.Release(s.src)

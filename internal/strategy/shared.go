@@ -33,16 +33,14 @@ func provisionShared(env Env, vmName string, node *fabric.Node) Instance {
 		vol: vmName,
 		img: hv.NewSharedImage(env.Cl, node, env.Geo, env.BasePFS, snap),
 	}
-	if env.Leases != nil {
-		att, err := env.Leases.Acquire(vmName, node.ID)
-		if err != nil {
-			// Provision happens before any fault window opens; an acquire
-			// failure here is a programmer error, not a scenario outcome.
-			panic("strategy: pvfs-shared provision could not acquire lease: " + err.Error())
-		}
-		s.att = att
-		s.img.Guard = leaseGuard{m: env.Leases, vol: vmName}
+	att, err := env.Leases.Acquire(vmName, node.ID)
+	if err != nil {
+		// Provision happens before any fault window opens; an acquire
+		// failure here is a programmer error, not a scenario outcome.
+		panic("strategy: pvfs-shared provision could not acquire lease: " + err.Error())
 	}
+	s.att = att
+	s.img.Guard = leaseGuard{m: env.Leases, vol: vmName}
 	return s
 }
 
@@ -56,7 +54,7 @@ type shared struct {
 	vol string
 	img *hv.SharedImage
 
-	att    *lease.Attachment // exclusive volume lease (nil without a manager)
+	att    *lease.Attachment // exclusive volume lease
 	fenced bool              // current attempt died to a fencing decision
 	moved  bool              // lease handed to the destination (past the point of no return)
 	abortH *hv.Abort         // current attempt's abort handle (fence wiring)
@@ -83,28 +81,24 @@ func (s *shared) Migrate(m *Migration) Outcome {
 	lm := s.env.Leases
 	s.fenced, s.moved = false, false
 	s.abortH = m.Abort
-	if lm != nil {
-		if s.att == nil || s.att.Fenced {
-			// A previous attempt was fenced; re-acquire once the source is
-			// reachable again. While it is not, the attempt dies on the spot
-			// — fenced, zero bytes moved.
-			att, err := lm.Acquire(s.vol, m.Src.ID)
-			if err != nil {
-				return Outcome{Aborted: true, Fenced: true}
-			}
-			s.att = att
+	if s.att.Fenced {
+		// A previous attempt was fenced; re-acquire once the source is
+		// reachable again. While it is not, the attempt dies on the spot
+		// — fenced, zero bytes moved.
+		att, err := lm.Acquire(s.vol, m.Src.ID)
+		if err != nil {
+			return Outcome{Aborted: true, Fenced: true}
 		}
-		lm.BeginWindow(s.vol, s.onFence, nil)
-		defer lm.EndWindow(s.vol)
+		s.att = att
 	}
+	lm.BeginWindow(s.vol, s.onFence, nil)
+	defer lm.EndWindow(s.vol)
 	res := hv.Migrate(m.P, s.env.Cl, m.VM, m.Dst, s.env.HV, nil, nil, s.env.Bus, m.Abort)
 	if res.Aborted {
 		return Outcome{HV: res, Aborted: true, Fenced: s.fenced}
 	}
-	if lm != nil {
-		lm.MoveAttachment(s.att, m.Dst.ID)
-		s.moved = true
-	}
+	lm.MoveAttachment(s.att, m.Dst.ID)
+	s.moved = true
 	s.img.MoveTo(m.Dst)
 	return Outcome{HV: res, MigrationTime: res.ControlTransfer - m.Start}
 }

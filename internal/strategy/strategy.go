@@ -62,7 +62,7 @@ type Env struct {
 	Manager params.Manager
 	// Leases is the testbed's shared-volume attachment manager; strategies
 	// whose images live on shared storage route attach/detach and switchover
-	// authority through it (nil only in stripped-down unit tests).
+	// authority through it.
 	Leases *lease.Manager
 }
 

@@ -223,7 +223,6 @@ type VM struct {
 	Node  *fabric.Node // current host; changes when control transfers
 	Mem   *Memory
 	Image DiskImage
-	Cores int
 
 	paused      bool
 	pauseStart  sim.Time
@@ -234,11 +233,8 @@ type VM struct {
 }
 
 // New creates a VM on the given host node.
-func New(eng *sim.Engine, name string, node *fabric.Node, mem *Memory, cores int) *VM {
-	if cores <= 0 {
-		cores = 1
-	}
-	return &VM{Eng: eng, Name: name, Node: node, Mem: mem, Cores: cores}
+func New(eng *sim.Engine, name string, node *fabric.Node, mem *Memory) *VM {
+	return &VM{Eng: eng, Name: name, Node: node, Mem: mem}
 }
 
 // Paused reports whether the VM is currently paused.

@@ -14,7 +14,7 @@ func newTestVM(eng *sim.Engine) *VM {
 	tb.DiskLatency = 0
 	c := fabric.NewCluster(eng, 1, tb)
 	mem := NewMemory(1000, 10) // 100 groups
-	return New(eng, "vm0", c.Nodes[0], mem, 1)
+	return New(eng, "vm0", c.Nodes[0], mem)
 }
 
 func TestAllocAndNonZero(t *testing.T) {
@@ -213,7 +213,7 @@ func TestMoveTo(t *testing.T) {
 	tb := params.DefaultTestbed()
 	c := fabric.NewCluster(eng, 2, tb)
 	mem := NewMemory(1000, 10)
-	v := New(eng, "vm", c.Nodes[0], mem, 2)
+	v := New(eng, "vm", c.Nodes[0], mem)
 	v.MoveTo(c.Nodes[1])
 	if v.Node != c.Nodes[1] {
 		t.Fatal("MoveTo did not rehome the VM")
