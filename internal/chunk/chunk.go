@@ -180,25 +180,26 @@ func (s *Set) Remove(c Idx) bool {
 	return true
 }
 
-// checkRange validates a non-empty interval [first, last].
+// checkRange validates a non-empty interval [first, last]. It is small
+// enough to inline, so a valid interval costs three compares.
 func (s *Set) checkRange(first, last Idx) {
-	s.check(first)
-	s.check(last)
-	if last < first {
-		panic(fmt.Sprintf("chunk: empty interval [%d, %d]", first, last))
+	if first < 0 || last < first || int(last) >= s.n {
+		s.badRange(first, last)
 	}
 }
 
-// rangeMask returns the bits of word w that fall inside [first, last].
-func rangeMask(w int, first, last Idx) uint64 {
-	m := ^uint64(0)
-	if w == int(first>>6) {
-		m <<= uint(first) & 63
-	}
-	if w == int(last>>6) {
-		m &= ^uint64(0) >> (63 - uint(last)&63)
-	}
-	return m
+// badRange panics naming the first bound of [first, last] that is invalid.
+func (s *Set) badRange(first, last Idx) {
+	s.check(first)
+	s.check(last)
+	panic(fmt.Sprintf("chunk: empty interval [%d, %d]", first, last))
+}
+
+// endMasks returns the words holding the ends of [first, last] and the
+// interval's bits in each: lo from first up, hi up to last. Words between
+// them lie wholly inside; when fw == lw the interval's bits are lo & hi.
+func endMasks(first, last Idx) (fw, lw int, lo, hi uint64) {
+	return int(first >> 6), int(last >> 6), ^uint64(0) << (uint(first) & 63), ^uint64(0) >> (63 - uint(last)&63)
 }
 
 // AddRange inserts all chunks in [first, last], a word at a time. An
@@ -208,11 +209,16 @@ func (s *Set) AddRange(first, last Idx) {
 		return
 	}
 	s.checkRange(first, last)
-	for w := int(first >> 6); w <= int(last>>6); w++ {
-		m := rangeMask(w, first, last)
-		s.pop += bits.OnesCount64(m &^ s.bits[w])
-		s.bits[w] |= m
+	fw, lw, lo, hi := endMasks(first, last)
+	if fw == lw {
+		s.or(fw, lo&hi)
+		return
 	}
+	s.or(fw, lo)
+	for w := fw + 1; w < lw; w++ {
+		s.or(w, ^uint64(0))
+	}
+	s.or(lw, hi)
 }
 
 // RemoveRange deletes all chunks in [first, last], a word at a time. An
@@ -222,11 +228,28 @@ func (s *Set) RemoveRange(first, last Idx) {
 		return
 	}
 	s.checkRange(first, last)
-	for w := int(first >> 6); w <= int(last>>6); w++ {
-		m := rangeMask(w, first, last)
-		s.pop -= bits.OnesCount64(m & s.bits[w])
-		s.bits[w] &^= m
+	fw, lw, lo, hi := endMasks(first, last)
+	if fw == lw {
+		s.andNot(fw, lo&hi)
+		return
 	}
+	s.andNot(fw, lo)
+	for w := fw + 1; w < lw; w++ {
+		s.andNot(w, ^uint64(0))
+	}
+	s.andNot(lw, hi)
+}
+
+// or sets the bits m of word w.
+func (s *Set) or(w int, m uint64) {
+	s.pop += bits.OnesCount64(m &^ s.bits[w])
+	s.bits[w] |= m
+}
+
+// andNot clears the bits m of word w.
+func (s *Set) andNot(w int, m uint64) {
+	s.pop -= bits.OnesCount64(m & s.bits[w])
+	s.bits[w] &^= m
 }
 
 // RunEnd returns the last index e in [c, last] such that every chunk in

@@ -414,17 +414,11 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	wr := chunk.Range{Off: off, Len: length}
 	first, last := im.geo.Span(wr)
 	// Read-modify-write: partially covered chunks need their current
-	// content available locally first.
-	for c := first; c <= last; c++ {
-		if im.geo.FullyCovers(wr, c) || (im.cur.local.Contains(c) && !im.staleBaseOwed(c)) {
-			continue
-		}
-		im.stats.RMWStalls++
-		if im.isDest() && (im.remaining.Contains(c) || im.inFlight.Contains(c)) {
-			im.onDemandPull(p, c, c)
-		} else {
-			im.fetchBase(p, c, c)
-		}
+	// content available locally first. Only the end chunks of a write can
+	// be partial; every interior chunk is fully covered.
+	im.readModify(p, wr, first)
+	if last != first {
+		im.readModify(p, wr, last)
 	}
 
 	side := im.cur
@@ -444,21 +438,23 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	// The write lands in the manager's backing store (host-cached file).
 	im.store(p, off, length)
 
+	side.local.AddRange(first, last)
+	side.modified.AddRange(first, last)
 	for c := first; c <= last; c++ {
-		side.local.Add(c)
-		side.modified.Add(c)
 		id := im.nextContent()
 		side.content.Set(int(c), id)
 		im.markKnown(id)
-		if im.isDest() {
-			im.dstFresh.Add(c)
-		}
-		if im.isMigratingSource() {
-			// Algorithm 2, source role.
+	}
+	if im.isDest() {
+		im.dstFresh.AddRange(first, last)
+	}
+	if im.isMigratingSource() {
+		// Algorithm 2, source role.
+		for c := first; c <= last; c++ {
 			im.writeCount.Inc(c)
-			if !im.mirrorActive {
-				im.remaining.Add(c)
-			}
+		}
+		if !im.mirrorActive {
+			im.remaining.AddRange(first, last)
 		}
 	}
 	if im.isMigratingSource() && !im.mirrorActive {
@@ -472,12 +468,26 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 		}
 		im.stats.MirroredBytes += float64(length)
 		// Mirrored content is now identical at the destination.
+		im.dst.local.AddRange(first, last)
+		im.dst.modified.AddRange(first, last)
+		im.dstFresh.AddRange(first, last)
 		for c := first; c <= last; c++ {
-			im.dst.local.Add(c)
-			im.dst.modified.Add(c)
 			im.dst.content.Set(int(c), side.content.At(int(c)))
-			im.dstFresh.Add(c)
 		}
 	}
 	im.maybeComplete()
+}
+
+// readModify makes chunk c's current content local before a write that
+// covers it only partially.
+func (im *Image) readModify(p *sim.Proc, wr chunk.Range, c chunk.Idx) {
+	if im.geo.FullyCovers(wr, c) || (im.cur.local.Contains(c) && !im.staleBaseOwed(c)) {
+		return
+	}
+	im.stats.RMWStalls++
+	if im.isDest() && (im.remaining.Contains(c) || im.inFlight.Contains(c)) {
+		im.onDemandPull(p, c, c)
+	} else {
+		im.fetchBase(p, c, c)
+	}
 }

@@ -225,6 +225,43 @@ func TestCOWImageReadWrite(t *testing.T) {
 	}
 }
 
+// TestCOWImageWriteRMWEnds makes one write, misaligned at both ends and
+// spanning 136 chunks across three bitmap word edges: RMWFetches counts the
+// end chunks that are partial and not yet allocated.
+func TestCOWImageWriteRMWEnds(t *testing.T) {
+	const cs = 256 * params.KB
+	const first, last = chunk.Idx(60), chunk.Idx(195)
+	off := int64(first)*cs + 1000
+	length := int64(last)*cs + 5000 - off
+	for _, tc := range []struct {
+		allocated []chunk.Idx // chunks written whole before the write
+		want      int
+	}{
+		{nil, 2},
+		{[]chunk.Idx{first}, 1},
+		{[]chunk.Idx{last}, 1},
+		{[]chunk.Idx{first, last}, 0},
+	} {
+		r := newRig(t)
+		im := NewCOWImage(r.cl, r.cl.Nodes[0], r.geo, r.fs.Create("base", imageSize), nil)
+		r.eng.Go("io", func(p *sim.Proc) {
+			for _, c := range tc.allocated {
+				im.Write(p, int64(c)*cs, cs)
+			}
+			im.Write(p, off, length)
+		})
+		if err := r.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if im.RMWFetches != tc.want {
+			t.Errorf("allocated %v: RMW fetches = %d, want %d", tc.allocated, im.RMWFetches, tc.want)
+		}
+		if n := im.LocalSet().Count(); n != int(last-first)+1 || !im.LocalSet().Contains(first) || !im.LocalSet().Contains(last) {
+			t.Errorf("allocated %v: %d chunks allocated, want [%d, %d]", tc.allocated, n, first, last)
+		}
+	}
+}
+
 func TestBlockMigrationMovesAllocatedChunks(t *testing.T) {
 	r := newRig(t)
 	base := r.fs.Create("base", imageSize)

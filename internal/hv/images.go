@@ -123,15 +123,12 @@ func (im *COWImage) Write(p *sim.Proc, off, length int64) {
 	if length <= 0 {
 		return
 	}
-	first, last := im.geo.Span(chunk.Range{Off: off, Len: length})
 	wr := chunk.Range{Off: off, Len: length}
-	for c := first; c <= last; c++ {
-		if !im.local.Contains(c) && !im.geo.FullyCovers(wr, c) {
-			// COW read-modify-write of the backing cluster.
-			cr := im.geo.ChunkRange(c)
-			im.base.Read(p, im.node, cr.Off, cr.Len)
-			im.RMWFetches++
-		}
+	first, last := im.geo.Span(wr)
+	// Only the end chunks of a write can be partial.
+	im.readModify(p, wr, first)
+	if last != first {
+		im.readModify(p, wr, last)
 	}
 	im.store(p, off, length)
 	im.WriteBytes += float64(length)
@@ -139,6 +136,18 @@ func (im *COWImage) Write(p *sim.Proc, off, length int64) {
 	if im.tracking {
 		im.dirty.AddRange(first, last)
 	}
+}
+
+// readModify fetches the backing cluster of chunk c when the write covers
+// c only partially and the snapshot has not allocated it yet.
+func (im *COWImage) readModify(p *sim.Proc, wr chunk.Range, c chunk.Idx) {
+	if im.local.Contains(c) || im.geo.FullyCovers(wr, c) {
+		return
+	}
+	// COW read-modify-write of the backing cluster.
+	cr := im.geo.ChunkRange(c)
+	im.base.Read(p, im.node, cr.Off, cr.Len)
+	im.RMWFetches++
 }
 
 // Sync implements vm.DiskImage: flush the local qcow2 file (bdrv_flush).

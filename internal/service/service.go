@@ -356,7 +356,9 @@ func (s *Server) runScenario(r *Run) {
 			budget = d
 		}
 	}
-	ctx, cancel := context.WithTimeoutCause(r.ctx, budget, ErrWallBudget)
+	parent, spend := context.WithCancelCause(r.ctx)
+	defer spend(nil)
+	ctx, cancel := context.WithTimeoutCause(parent, budget, ErrWallBudget)
 	defer cancel()
 
 	sc, err := r.Spec.ToScenario(scenario.WithObserver(trace.ObserverFunc(r.log.append)))
@@ -364,7 +366,7 @@ func (s *Server) runScenario(r *Run) {
 		r.setTerminal(StateFailed, nil, err.Error())
 		return
 	}
-	res, err := sc.RunContext(ctx)
+	res, err := sc.RunContext(budgetCtx{Context: ctx, spend: spend})
 	switch {
 	case err == nil:
 		r.setTerminal(StateSucceeded, res, "")
@@ -379,6 +381,23 @@ func (s *Server) runScenario(r *Run) {
 	default:
 		r.setTerminal(StateFailed, res, err.Error())
 	}
+}
+
+// budgetCtx is the context a run polls between events. Once the wall clock
+// passes the deadline, Err cancels the run with ErrWallBudget itself instead
+// of waiting for the deadline's timer: the runtime can fire that timer
+// milliseconds late while the simulation keeps its thread busy, and a run
+// shorter than the lag would reach its horizon unbroken.
+type budgetCtx struct {
+	context.Context
+	spend context.CancelCauseFunc // cancels the run's context with a cause
+}
+
+func (c budgetCtx) Err() error {
+	if d, ok := c.Deadline(); ok && c.Context.Err() == nil && !time.Now().Before(d) {
+		c.spend(ErrWallBudget)
+	}
+	return c.Context.Err()
 }
 
 func (r *Run) setTerminal(st State, res *scenario.Result, reason string) {

@@ -93,46 +93,63 @@ func (m *Memory) Alloc(bytes int64, touch bool) Region {
 
 // DirtySeq marks ceil(bytes/PageSize) groups dirty starting at cursor inside
 // region, wrapping cyclically, and returns the advanced cursor. It models a
-// writer moving through its working set. Marked pages become non-zero.
+// writer moving through its working set. Marked pages become non-zero. The
+// count is capped at the region's span, so the cursor wraps at most once and
+// the memory is marked as at most two runs.
 func (m *Memory) DirtySeq(r Region, bytes int64, cursor chunk.Idx) chunk.Idx {
 	if m.paused || bytes <= 0 {
 		return cursor
 	}
-	n := int((bytes + m.PageSize - 1) / m.PageSize)
-	span := r.Groups()
-	if n > span {
-		n = span
-	}
+	n := min((bytes+m.PageSize-1)/m.PageSize, int64(r.Groups()))
 	if cursor < r.First || cursor > r.Last {
 		cursor = r.First
 	}
-	for i := 0; i < n; i++ {
-		m.dirty.Add(cursor)
-		m.nonZero.Add(cursor)
-		cursor++
-		if cursor > r.Last {
-			cursor = r.First
-		}
+	if last := m.markWrapped(r, cursor, chunk.Idx(n)); last != r.Last {
+		return last + 1
 	}
-	return cursor
+	return r.First
 }
 
 // DirtyMapped marks the memory backing a file-cache byte range dirty using
 // a fixed modular mapping from cache offsets to groups within region:
 // rewriting the same file bytes re-dirties the same memory, which is what
-// lets pre-copy converge when a workload loops over one file.
+// lets pre-copy converge when a workload loops over one file. Cache group g
+// maps to r.First + g%span, so the memory is marked as the whole region or
+// as at most two runs.
 func (m *Memory) DirtyMapped(r Region, off, length int64) {
 	if m.paused || length <= 0 {
 		return
 	}
 	span := chunk.Idx(r.Groups())
 	first := chunk.Idx(off / m.PageSize)
-	last := chunk.Idx((off + length - 1) / m.PageSize)
-	for g := first; g <= last; g++ {
-		c := r.First + g%span
-		m.dirty.Add(c)
-		m.nonZero.Add(c)
+	n := chunk.Idx((off+length-1)/m.PageSize) - first + 1
+	if n >= span {
+		m.mark(r.First, r.Last)
+		return
 	}
+	m.markWrapped(r, r.First+first%span, n)
+}
+
+// markWrapped marks n groups of region r, at most its span, starting at
+// group from and wrapping past r.Last to r.First: at most two runs. It
+// returns the last group marked.
+func (m *Memory) markWrapped(r Region, from, n chunk.Idx) chunk.Idx {
+	last := from + n - 1
+	if last <= r.Last {
+		m.mark(from, last)
+		return last
+	}
+	m.mark(from, r.Last)
+	last -= chunk.Idx(r.Groups())
+	m.mark(r.First, last)
+	return last
+}
+
+// mark dirties groups [first, last] and makes them non-zero; an interval
+// with last < first marks nothing.
+func (m *Memory) mark(first, last chunk.Idx) {
+	m.dirty.AddRange(first, last)
+	m.nonZero.AddRange(first, last)
 }
 
 // NonZeroBytes returns the bytes the hypervisor must move in the first
