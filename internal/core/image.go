@@ -455,10 +455,8 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 		}
 		if !im.mirrorActive {
 			im.remaining.AddRange(first, last)
+			im.pushCond.Broadcast(im.eng)
 		}
-	}
-	if im.isMigratingSource() && !im.mirrorActive {
-		im.pushCond.Broadcast(im.eng)
 	}
 	if mirrorFlow != nil {
 		mirrorFlow.Wait(p)

@@ -356,17 +356,15 @@ func (s *Server) runScenario(r *Run) {
 			budget = d
 		}
 	}
-	parent, spend := context.WithCancelCause(r.ctx)
+	ctx, spend := context.WithCancelCause(r.ctx)
 	defer spend(nil)
-	ctx, cancel := context.WithTimeoutCause(parent, budget, ErrWallBudget)
-	defer cancel()
 
 	sc, err := r.Spec.ToScenario(scenario.WithObserver(trace.ObserverFunc(r.log.append)))
 	if err != nil { // unreachable: Submit already translated this spec
 		r.setTerminal(StateFailed, nil, err.Error())
 		return
 	}
-	res, err := sc.RunContext(budgetCtx{Context: ctx, spend: spend})
+	res, err := sc.RunContext(budgetCtx{Context: ctx, spend: spend, deadline: time.Now().Add(budget)})
 	switch {
 	case err == nil:
 		r.setTerminal(StateSucceeded, res, "")
@@ -384,17 +382,18 @@ func (s *Server) runScenario(r *Run) {
 }
 
 // budgetCtx is the context a run polls between events. Once the wall clock
-// passes the deadline, Err cancels the run with ErrWallBudget itself instead
-// of waiting for the deadline's timer: the runtime can fire that timer
-// milliseconds late while the simulation keeps its thread busy, and a run
-// shorter than the lag would reach its horizon unbroken.
+// passes the deadline, Err cancels the run with ErrWallBudget. The poll is
+// the breaker: no timer backs it, because a timer can fire milliseconds late
+// while the simulation keeps its thread busy, and a run shorter than the lag
+// would reach its horizon unbroken.
 type budgetCtx struct {
 	context.Context
-	spend context.CancelCauseFunc // cancels the run's context with a cause
+	spend    context.CancelCauseFunc // cancels the run's context with a cause
+	deadline time.Time
 }
 
 func (c budgetCtx) Err() error {
-	if d, ok := c.Deadline(); ok && c.Context.Err() == nil && !time.Now().Before(d) {
+	if c.Context.Err() == nil && !time.Now().Before(c.deadline) {
 		c.spend(ErrWallBudget)
 	}
 	return c.Context.Err()

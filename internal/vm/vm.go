@@ -114,8 +114,7 @@ func (m *Memory) DirtySeq(r Region, bytes int64, cursor chunk.Idx) chunk.Idx {
 // a fixed modular mapping from cache offsets to groups within region:
 // rewriting the same file bytes re-dirties the same memory, which is what
 // lets pre-copy converge when a workload loops over one file. Cache group g
-// maps to r.First + g%span, so the memory is marked as the whole region or
-// as at most two runs.
+// maps to r.First + g%span, so the memory is marked as at most two runs.
 func (m *Memory) DirtyMapped(r Region, off, length int64) {
 	if m.paused || length <= 0 {
 		return
@@ -123,11 +122,7 @@ func (m *Memory) DirtyMapped(r Region, off, length int64) {
 	span := chunk.Idx(r.Groups())
 	first := chunk.Idx(off / m.PageSize)
 	n := chunk.Idx((off+length-1)/m.PageSize) - first + 1
-	if n >= span {
-		m.mark(r.First, r.Last)
-		return
-	}
-	m.markWrapped(r, r.First+first%span, n)
+	m.markWrapped(r, r.First+first%span, min(n, span))
 }
 
 // markWrapped marks n groups of region r, at most its span, starting at
