@@ -45,3 +45,33 @@ func GoldenReport(s Scale) string {
 	}
 	return b.String()
 }
+
+// goldenAblations renders every row of every design ablation (the sweeps
+// cmd/ablate runs with -which all) at small and paper scale in hex floats.
+// These are the only recorded runs with a repository stripe other than
+// 256 KB or with the base-image prefetch off.
+func goldenAblations() string {
+	sweeps := []struct {
+		name string
+		run  func(Scale) []AblationRow
+	}{
+		{"threshold", AblateThreshold},
+		{"priority", AblatePullPriority},
+		{"stripe", AblateStripeSize},
+		{"prefetch", AblateBasePrefetch},
+		{"dedup", AblateDedup},
+		{"compression", AblateCompression},
+	}
+	var b strings.Builder
+	for _, s := range []Scale{ScaleSmall, ScalePaper} {
+		for _, sw := range sweeps {
+			fmt.Fprintf(&b, "== %s scale=%s ==\n", sw.name, s)
+			for _, r := range sw.run(s) {
+				fmt.Fprintf(&b, "%s mig=%x traffic=%x pushed=%d pulled=%d hot=%d dedup=%d\n",
+					r.Label, r.MigrationTime, r.TrafficMB, r.PushedChunks, r.PulledChunks,
+					r.SkippedHot, r.DedupHits)
+			}
+		}
+	}
+	return b.String()
+}

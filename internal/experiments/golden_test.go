@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden testdata from the 
 // zero-allocation sim kernel reproduce the seed's outputs within float
 // accumulation drift (see goldenRelTol).
 func TestGoldenDeterminismSmall(t *testing.T) {
-	checkGolden(t, ScaleSmall, "golden_small.txt")
+	checkGolden(t, "golden_small.txt", GoldenReport(ScaleSmall))
 }
 
 // TestGoldenDeterminismPaper is the same contract at the paper's Section 5
@@ -34,13 +34,22 @@ func TestGoldenDeterminismPaper(t *testing.T) {
 	if os.Getenv("HYBRIDMIG_GOLDEN_PAPER") == "" && !*updateGolden {
 		t.Skip("set HYBRIDMIG_GOLDEN_PAPER=1 (or -update) to run the paper-scale golden")
 	}
-	checkGolden(t, ScalePaper, "golden_paper.txt")
+	checkGolden(t, "golden_paper.txt", GoldenReport(ScalePaper))
 }
 
-func checkGolden(t *testing.T, s Scale, file string) {
+// TestGoldenAblations pins every design-ablation row at both scales: the
+// repository stripe sweep and the base-prefetch-off run are the only
+// recorded runs off the default repository path. The paper-scale sweeps
+// take well under a second, so this runs without a gate.
+func TestGoldenAblations(t *testing.T) {
+	checkGolden(t, "golden_ablate.txt", goldenAblations())
+}
+
+// checkGolden compares a rendered report with testdata/file under
+// goldenRelTol, or rewrites the file with -update.
+func checkGolden(t *testing.T, file, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
-	got := GoldenReport(s)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
