@@ -12,10 +12,10 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/hybridmig/hybridmig/internal/blob"
 	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/core"
 	"github.com/hybridmig/hybridmig/internal/fabric"
+	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/guest"
 	"github.com/hybridmig/hybridmig/internal/hv"
 	"github.com/hybridmig/hybridmig/internal/lease"
@@ -114,11 +114,11 @@ func SmallConfig(nodes int) Config {
 type Testbed struct {
 	Eng  *sim.Engine
 	Cl   *fabric.Cluster
-	Repo *blob.Store
+	Repo *pfs.FS
 	PFS  *pfs.FS
 	Cfg  Config
 
-	baseBlob  *blob.Blob
+	baseRepo  *pfs.File
 	basePFS   *pfs.File
 	geo       chunk.Geometry
 	instances []*Instance
@@ -137,16 +137,15 @@ func (tb *Testbed) Observe(o trace.Observer) { tb.bus.Subscribe(o) }
 // Bus returns the testbed's trace bus (the scenario layer samples onto it).
 func (tb *Testbed) Bus() *trace.Bus { return tb.bus }
 
-// New builds the testbed: BlobSeer and PVFS both span all compute nodes, as
-// in Section 5.2, and the 4 GB base image is installed in both.
+// New builds the testbed: the repository (BlobSeer) and the PFS (PVFS), two
+// instances of one striped service, both span all compute nodes with the
+// same stripes, as in Section 5.2, and the 4 GB base image is installed in
+// both.
 func New(cfg Config) *Testbed {
 	eng := sim.New()
 	cl := fabric.NewCluster(eng, cfg.Nodes, cfg.Testbed)
-	repo := blob.NewStore(cl, cl.Nodes, cfg.Repo)
-	fs := pfs.NewFS(cl, cl.Nodes, pfs.Params{
-		StripeSize:      cfg.Repo.StripeSize,
-		MetadataLatency: cfg.Repo.MetadataLatency,
-	})
+	repo := pfs.NewFS(cl, cl.Nodes, cfg.Repo, flow.TagRepo)
+	fs := pfs.NewFS(cl, cl.Nodes, cfg.Repo, flow.TagPFS)
 	tb := &Testbed{
 		Eng:  eng,
 		Cl:   cl,
@@ -156,7 +155,10 @@ func New(cfg Config) *Testbed {
 		geo:  chunk.NewGeometry(cfg.Testbed.ImageSize, cfg.Testbed.ChunkSize),
 		bus:  &trace.Bus{},
 	}
-	tb.baseBlob = repo.Create(cfg.Testbed.ImageSize)
+	if cfg.Testbed.ChunkSize%cfg.Repo.StripeSize != 0 && cfg.Repo.StripeSize%cfg.Testbed.ChunkSize != 0 {
+		panic("cluster: chunk size and repository stripe size must nest")
+	}
+	tb.baseRepo = repo.Create("base.img", cfg.Testbed.ImageSize)
 	tb.basePFS = fs.Create("base.img", cfg.Testbed.ImageSize)
 	// The attachment manager's reachability probe is the fabric's partition
 	// state: a node inside a partition window cannot renew its leases.
@@ -207,7 +209,7 @@ func (tb *Testbed) strategyEnv() strategy.Env {
 		Eng:     tb.Eng,
 		Cl:      tb.Cl,
 		Geo:     tb.geo,
-		Base:    tb.baseBlob,
+		Base:    tb.baseRepo,
 		BasePFS: tb.basePFS,
 		PFS:     tb.PFS,
 		Bus:     tb.bus,

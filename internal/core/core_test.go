@@ -1,15 +1,16 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"github.com/hybridmig/hybridmig/internal/blob"
 	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/params"
+	"github.com/hybridmig/hybridmig/internal/pfs"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
@@ -23,13 +24,17 @@ const (
 type rig struct {
 	eng   *sim.Engine
 	cl    *fabric.Cluster
-	store *blob.Store
-	base  *blob.Blob
+	store *pfs.FS
+	base  *pfs.File
 	geo   chunk.Geometry
 }
 
-// newRig builds: nodes 0..3 compute, nodes 4..7 repository servers.
-func newRig() *rig {
+// newRig builds: nodes 0..3 compute, nodes 4..7 repository servers, the
+// repository striped by chunk.
+func newRig() *rig { return newRigStripe(chunkSize) }
+
+// newRigStripe is newRig with the given repository stripe size.
+func newRigStripe(stripe int64) *rig {
 	eng := sim.New()
 	tb := params.DefaultTestbed()
 	tb.NICBandwidth = 100 * mb
@@ -38,8 +43,8 @@ func newRig() *rig {
 	tb.NetLatency = 0.0001
 	tb.DiskLatency = 0
 	cl := fabric.NewCluster(eng, 8, tb)
-	store := blob.NewStore(cl, cl.Nodes[4:8], params.Repository{StripeSize: chunkSize, MetadataLatency: 0})
-	base := store.Create(imageSize)
+	store := pfs.NewFS(cl, cl.Nodes[4:8], params.Repository{StripeSize: stripe, MetadataLatency: 0}, flow.TagRepo)
+	base := store.Create("base.img", imageSize)
 	return &rig{eng: eng, cl: cl, store: store, base: base,
 		geo: chunk.NewGeometry(imageSize, chunkSize)}
 }
@@ -83,6 +88,25 @@ func TestNormalOperationWriteThenRead(t *testing.T) {
 		}
 	})
 	r.run(t)
+}
+
+// TestBaseReadMovesAddressedBytes pins the repository's byte rule: a
+// one-chunk base read moves one chunk, also when a stripe holds two chunks.
+func TestBaseReadMovesAddressedBytes(t *testing.T) {
+	for _, stripe := range []int64{chunkSize, 2 * chunkSize} {
+		r := newRigStripe(stripe)
+		im := r.image(ModeHybrid, 0)
+		r.eng.Go("io", func(p *sim.Proc) {
+			im.Read(p, 33*chunkSize, chunkSize)
+		})
+		r.run(t)
+		if got := r.store.ReadBytes(); got != chunkSize {
+			t.Errorf("stripe %d: repository served %v bytes, want %d", stripe, got, chunkSize)
+		}
+		if got := r.cl.Net.BytesByTag(flow.TagRepo); math.Abs(got-chunkSize) > 1e-6 {
+			t.Errorf("stripe %d: repository traffic %v bytes, want %d", stripe, got, chunkSize)
+		}
+	}
 }
 
 func TestPartialWriteToBaseChunkRMW(t *testing.T) {

@@ -4,9 +4,10 @@
 // live storage migration (Sections 4.1–4.4 and Algorithms 1–4).
 //
 // Under normal operation the manager exposes the base disk image (stored in
-// the striped repository of package blob) as a locally modifiable view:
-// writes create chunks on the local disk, reads of untouched regions fetch
-// chunks from the repository on demand and cache them locally.
+// the striped repository, an instance of package pfs) as a locally
+// modifiable view: writes create chunks on the local disk, reads of
+// untouched regions fetch chunks from the repository on demand and cache
+// them locally.
 //
 // During a live migration the manager:
 //
@@ -32,11 +33,11 @@ package core
 import (
 	"fmt"
 
-	"github.com/hybridmig/hybridmig/internal/blob"
 	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/params"
+	"github.com/hybridmig/hybridmig/internal/pfs"
 	"github.com/hybridmig/hybridmig/internal/sim"
 	"github.com/hybridmig/hybridmig/internal/trace"
 	"github.com/hybridmig/hybridmig/internal/vm"
@@ -164,7 +165,7 @@ type Image struct {
 	eng     *sim.Engine
 	cl      *fabric.Cluster
 	geo     chunk.Geometry
-	base    *blob.Blob
+	base    *pfs.File
 	backing vm.DiskImage // the manager's backing store (host-cached local file)
 	opts    Options
 	name    string
@@ -226,15 +227,12 @@ var _ vm.DiskImage = (*Image)(nil)
 // NewImage creates a manager view of base on the given node. backing is the
 // manager's local store (typically the guest package's cache over a raw
 // disk); if nil, a plain disk-time model is used directly.
-func NewImage(eng *sim.Engine, cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, base *blob.Blob, backing vm.DiskImage, opts Options, name string) *Image {
+func NewImage(eng *sim.Engine, cl *fabric.Cluster, node *fabric.Node, geo chunk.Geometry, base *pfs.File, backing vm.DiskImage, opts Options, name string) *Image {
 	if opts.PushBatch <= 0 || opts.PullBatch <= 0 {
 		panic("core: batch sizes must be positive")
 	}
 	if base.Size < geo.ImageSize {
-		panic("core: base blob smaller than image")
-	}
-	if geo.ChunkSize%base.Store.P.StripeSize != 0 && base.Store.P.StripeSize%geo.ChunkSize != 0 {
-		panic("core: chunk size and repository stripe size must nest")
+		panic("core: base image file smaller than image")
 	}
 	im := &Image{
 		eng:     eng,
@@ -395,7 +393,7 @@ func (im *Image) fetchBase(p *sim.Proc, c, end chunk.Idx) {
 	r1 := im.geo.ChunkRange(c)
 	r2 := im.geo.ChunkRange(end)
 	length := r2.End() - r1.Off
-	im.base.ReadRange(p, im.cur.node, r1.Off, length)
+	im.base.Read(p, im.cur.node, r1.Off, length)
 	im.stats.RepoReadBytes += float64(length)
 	im.cur.local.AddRange(c, end)
 	// Cache the fetched content locally; writeback persists it to disk.

@@ -522,7 +522,7 @@ func (im *Image) startBasePrefetch(hints []chunkRun) {
 			r2 := im.geo.ChunkRange(last)
 			length := r2.End() - r1.Off
 			done := &sim.Gate{}
-			im.base.ReadRangeAsync(dest.node, r1.Off, length, im.opts.BasePrefetchRate,
+			im.base.ReadAsync(dest.node, r1.Off, length, im.opts.BasePrefetchRate,
 				func() { done.Open(im.eng) })
 			done.Wait(p)
 			if im.migEpoch != epoch {

@@ -159,7 +159,7 @@ func BenchmarkImageWrite(b *testing.B) {
 	}{{"idle", false}, {"migrating-source", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			r := newRig()
-			r.base = r.store.Create(size)
+			r.base = r.store.Create("big.img", size)
 			r.geo = chunk.NewGeometry(size, chunkSize)
 			im := r.image(ModePostcopy, 0)
 			if bc.migrate {

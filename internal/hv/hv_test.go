@@ -38,7 +38,7 @@ func newRig(t *testing.T) *rig {
 	tb.NetLatency = 0
 	tb.DiskLatency = 0
 	cl := fabric.NewCluster(eng, 3, tb)
-	fs := pfs.NewFS(cl, cl.Nodes[2:3], pfs.Params{StripeSize: 256 * params.KB})
+	fs := pfs.NewFS(cl, cl.Nodes[2:3], params.Repository{StripeSize: 256 * params.KB}, flow.TagPFS)
 	mem := vm.NewMemory(ramSize, 1*mb)
 	v := vm.New(eng, "vm0", cl.Nodes[0], mem)
 	return &rig{eng: eng, cl: cl, fs: fs, v: v,
@@ -350,7 +350,7 @@ func TestSharedImageReadMidChunk(t *testing.T) {
 	tb.DiskLatency = 0
 	cl := fabric.NewCluster(eng, 5, tb)
 	servers := cl.Nodes[1:]
-	fs := pfs.NewFS(cl, servers, pfs.Params{StripeSize: 64 * kb})
+	fs := pfs.NewFS(cl, servers, params.Repository{StripeSize: 64 * kb}, flow.TagPFS)
 	geo := chunk.NewGeometry(imageSize, 256*kb)
 	im := NewSharedImage(cl, cl.Nodes[0], geo, fs.Create("base", imageSize), fs.Create("snap", imageSize))
 	eng.Go("io", func(p *sim.Proc) {

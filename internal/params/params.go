@@ -156,7 +156,9 @@ type Manager struct {
 	// destination using hints from the source (Section 4.1).
 	BasePrefetch bool
 	// BasePrefetchRate caps base-image prefetch bandwidth so it does not
-	// starve the source pulls (bytes/s).
+	// starve the source pulls (bytes/s). The cap applies to each
+	// repository server's flow, not to the prefetch: a prefetch run over
+	// k servers may take k × BasePrefetchRate.
 	BasePrefetchRate float64
 	// Preseeded marks the base image as already replicated on every
 	// compute node's local storage: images start fully local and
@@ -193,7 +195,8 @@ func DefaultManager() Manager {
 	}
 }
 
-// Repository holds the BlobSeer-substitute parameters.
+// Repository holds the striped storage parameters, shared by the
+// repository (the BlobSeer substitute) and the parallel file system.
 type Repository struct {
 	// StripeSize is the striping unit (256 KB per Section 5.2.1).
 	StripeSize int64

@@ -1,13 +1,18 @@
-// Package pfs implements the parallel file system substrate (a PVFS
-// stand-in, Carns et al.) used by the pvfs-shared baseline: the traditional
-// configuration in which VM disk state lives on shared storage so that live
-// migration needs no storage transfer at all — at the price of sending every
-// guest I/O over the network.
+// Package pfs implements the striped storage service of the testbed. As in
+// the paper's Section 5.2, two instances of it span the compute nodes with
+// the same stripes: the cloud repository (a BlobSeer stand-in, Nicolae et
+// al.) that holds the base VM image, and the parallel file system (a PVFS
+// stand-in, Carns et al.) that the pvfs-shared, multiattach and precopy
+// baselines keep disk state on — the configuration in which migration needs
+// no storage transfer at all, at the price of sending every guest I/O over
+// the network.
 //
-// Files are striped round-robin over I/O server nodes. Every read and write
-// is synchronous: the client pays a metadata round trip plus data flows
-// to/from the servers holding the addressed stripes. Files store no content:
-// which content a VM's disk holds is tracked by package core.
+// Files are striped round-robin over the server nodes, so concurrent
+// clients spread their load across servers. A blocking read or write pays
+// a metadata round trip plus one flow to or from each server holding an
+// addressed stripe, and it moves exactly the bytes it addresses. Files
+// store no content: which content a VM's disk holds is tracked by package
+// core.
 package pfs
 
 import (
@@ -15,36 +20,32 @@ import (
 
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
+	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
-// Params configures the file system.
-type Params struct {
-	StripeSize      int64
-	MetadataLatency float64 // one metadata round trip (open/lookup)
-}
-
-// FS is the parallel file system service.
+// FS is one instance of the striped storage service.
 type FS struct {
 	Cluster *fabric.Cluster
 	Servers []*fabric.Node
-	P       Params
+	P       params.Repository
 
 	files      map[string]*File
 	readBytes  float64
 	writeBytes float64
-	requests   uint64
 
+	tag flow.Tag
 	fan *fabric.FanOut
 
-	// perServer is io's scratch, indexed like Servers: the bytes one
+	// perServer is spread's scratch, indexed like Servers: the bytes one
 	// request addresses on each server. It is only used between two yields.
 	perServer []float64
 }
 
-// NewFS creates a file system over the given I/O server nodes, which must
-// be distinct; stripe i lives on servers[i%len(servers)].
-func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
+// NewFS creates a service over the given server nodes, which must be
+// distinct; stripe i lives on servers[i%len(servers)] and every flow the
+// service starts carries tag.
+func NewFS(c *fabric.Cluster, servers []*fabric.Node, p params.Repository, tag flow.Tag) *FS {
 	if len(servers) == 0 {
 		panic("pfs: need at least one server")
 	}
@@ -52,7 +53,7 @@ func NewFS(c *fabric.Cluster, servers []*fabric.Node, p Params) *FS {
 		panic("pfs: stripe size must be positive")
 	}
 	return &FS{Cluster: c, Servers: servers, P: p, files: make(map[string]*File),
-		fan: fabric.NewFanOut(c, servers, flow.TagPFS), perServer: make([]float64, len(servers))}
+		tag: tag, fan: fabric.NewFanOut(c, servers, tag), perServer: make([]float64, len(servers))}
 }
 
 // ReadBytes returns total bytes served to readers.
@@ -61,9 +62,6 @@ func (fs *FS) ReadBytes() float64 { return fs.readBytes }
 // WriteBytes returns total bytes accepted from writers.
 func (fs *FS) WriteBytes() float64 { return fs.writeBytes }
 
-// Requests returns the number of I/O requests processed.
-func (fs *FS) Requests() uint64 { return fs.requests }
-
 // File is one striped file.
 type File struct {
 	fs   *FS
@@ -71,9 +69,9 @@ type File struct {
 	Size int64
 }
 
-// Create makes a file of fixed size (a preallocated virtual disk or
-// snapshot file). Creating an existing name panics: the baselines never
-// recreate files.
+// Create makes a file of fixed size (a base image, a preallocated virtual
+// disk or a snapshot file). Creating an existing name panics: the testbed
+// never recreates files.
 func (fs *FS) Create(name string, size int64) *File {
 	if size <= 0 {
 		panic("pfs: file size must be positive")
@@ -85,9 +83,6 @@ func (fs *FS) Create(name string, size int64) *File {
 	fs.files[name] = f
 	return f
 }
-
-// Open returns an existing file or nil.
-func (fs *FS) Open(name string) *File { return fs.files[name] }
 
 // stripeLen returns the byte length of stripe i.
 func (f *File) stripeLen(i int) int64 {
@@ -107,17 +102,15 @@ func (f *File) span(off, length int64) (first, last int) {
 	return int(off / f.fs.P.StripeSize), int((off + length - 1) / f.fs.P.StripeSize)
 }
 
-// io performs the data movement common to Read and Write: one flow per
-// server covering that server's share of the addressed bytes. Stripes map
-// to servers round-robin, so the servers in first-touch order are those of
-// stripes first, first+1, ... — the flows start in that order.
-func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write bool) {
+// spread sums into perServer the bytes [off, off+length) addresses on each
+// server. Stripes map to servers round-robin, so the servers in first-touch
+// order are those of stripes first, first+1, ...: server (first+k)%N for
+// k < touched. Callers start their flows in that order.
+func (f *File) spread(off, length int64) (first, touched int) {
 	fs := f.fs
-	fs.requests++
-	p.Sleep(fs.P.MetadataLatency)
 	first, last := f.span(off, length)
 	ns := len(fs.Servers)
-	touched := min(last-first+1, ns)
+	touched = min(last-first+1, ns)
 	perServer := fs.perServer
 	for k := 0; k < touched; k++ {
 		perServer[(first+k)%ns] = 0
@@ -136,10 +129,21 @@ func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write boo
 		remaining -= b
 		perServer[i%ns] += float64(b)
 	}
+	return first, touched
+}
+
+// io performs the data movement common to Read and Write: after a metadata
+// round trip, one flow per server covering that server's share of the
+// addressed bytes.
+func (f *File) io(p *sim.Proc, client *fabric.Node, off, length int64, write bool) {
+	fs := f.fs
+	p.Sleep(fs.P.MetadataLatency)
+	first, touched := f.spread(off, length)
+	ns := len(fs.Servers)
 	req := fs.fan.Begin()
 	for k := 0; k < touched; k++ {
 		s := (first + k) % ns
-		bytes := perServer[s]
+		bytes := fs.perServer[s]
 		if write {
 			fs.writeBytes += bytes
 			req.Write(client, s, bytes)
@@ -160,4 +164,32 @@ func (f *File) Read(p *sim.Proc, client *fabric.Node, off, length int64) {
 // servers acknowledge.
 func (f *File) Write(p *sim.Proc, client *fabric.Node, off, length int64) {
 	f.io(p, client, off, length, true)
+}
+
+// ReadAsync starts fetching [off, off+length) to the client and calls
+// onDone when every byte has arrived; it pays no metadata round trip. The
+// destination's base-image prefetcher uses it. rateCap > 0 caps each
+// server's flow, not the read: a read over k servers may take k × rateCap.
+func (f *File) ReadAsync(client *fabric.Node, off, length int64, rateCap float64, onDone func()) {
+	fs := f.fs
+	first, touched := f.spread(off, length)
+	ns := len(fs.Servers)
+	remaining := touched
+	for k := 0; k < touched; k++ {
+		s := (first + k) % ns
+		bytes := fs.perServer[s]
+		fs.readBytes += bytes
+		fs.Cluster.Net.Start(&flow.Flow{
+			Links:   fs.Cluster.RemoteReadPath(fs.Servers[s], client),
+			Size:    bytes,
+			MaxRate: rateCap,
+			Tag:     fs.tag,
+			OnDone: func() {
+				remaining--
+				if remaining == 0 && onDone != nil {
+					onDone()
+				}
+			},
+		})
+	}
 }

@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hybridmig/hybridmig/internal/blob"
 	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/core"
 	"github.com/hybridmig/hybridmig/internal/fabric"
@@ -54,9 +53,9 @@ type Env struct {
 	Eng     *sim.Engine
 	Cl      *fabric.Cluster
 	Geo     chunk.Geometry
-	Base    *blob.Blob // base image in the striped repository
-	BasePFS *pfs.File  // base image on the parallel file system
-	PFS     *pfs.FS    // parallel file system (snapshot creation)
+	Base    *pfs.File // base image in the striped repository
+	BasePFS *pfs.File // base image on the parallel file system
+	PFS     *pfs.FS   // parallel file system (snapshot creation)
 	Bus     *trace.Bus
 	HV      params.Hypervisor
 	Manager params.Manager
