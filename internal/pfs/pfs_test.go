@@ -32,14 +32,13 @@ func serverBytes(fs *FS) []float64 {
 	return out
 }
 
-func TestCreateGeometry(t *testing.T) {
+// TestCreateOpen checks a created file's stripe span and that its name
+// stays taken: creating it again panics.
+func TestCreateOpen(t *testing.T) {
 	_, _, fs := testFS(2)
 	f := fs.Create("disk.qcow2", 950)
 	if first, last := f.span(0, f.Size); first != 0 || last != 9 {
 		t.Fatalf("stripes = [%d, %d], want [0, 9]", first, last)
-	}
-	if f.stripeLen(9) != 50 {
-		t.Fatalf("last stripe len = %d, want 50", f.stripeLen(9))
 	}
 	defer func() {
 		if recover() == nil {
@@ -47,6 +46,17 @@ func TestCreateGeometry(t *testing.T) {
 		}
 	}()
 	fs.Create("disk.qcow2", 950)
+}
+
+func TestCreateGeometry(t *testing.T) {
+	_, _, fs := testFS(4)
+	f := fs.Create("f", 950)
+	if first, last := f.span(0, f.Size); first != 0 || last != 9 {
+		t.Fatalf("stripes = [%d, %d], want [0, 9]", first, last)
+	}
+	if f.stripeLen(9) != 50 {
+		t.Fatalf("last stripe len = %d, want 50", f.stripeLen(9))
+	}
 }
 
 // TestPlacementTable pins the placement formula: stripe i on server i mod
@@ -272,6 +282,18 @@ func TestRequestAllocs(t *testing.T) {
 		if a != 0 {
 			t.Errorf("%s: %v allocations per request, want 0", tc.name, a)
 		}
+	}
+}
+
+// TestSmallFileReadAllocs pins a warmed read of a file smaller than a
+// page, spanning stripes on all three servers, at zero allocations.
+func TestSmallFileReadAllocs(t *testing.T) {
+	eng, c, fs := testFS(3)
+	f, client := fs.Create("f", 1000), c.Nodes[4]
+	a := requestAllocs(t, eng, func(p *sim.Proc) { f.Read(p, client, 150, 400) })
+	eng.Stop()
+	if a != 0 {
+		t.Errorf("read: %v allocations per request, want 0", a)
 	}
 }
 
