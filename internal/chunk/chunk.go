@@ -1,17 +1,22 @@
 // Package chunk provides chunk-granularity building blocks for the
 // migration manager: index arithmetic between byte ranges and chunk indices,
-// dense bitmap sets, per-chunk write counters, a lazy-deletion priority
+// paged bitmap sets, per-chunk write counters, a lazy-deletion priority
 // queue used by the prioritized prefetcher, and paged content-ID arrays
 // (IDs) for images that are mostly never written.
 //
 // A virtual disk image of S bytes with chunk size C has ceil(S/C) chunks,
-// numbered from zero. All sets in this package are dense (bitmap-backed)
-// because the image is small relative to memory and most operations touch
-// large contiguous runs. Range operations work on whole 64-bit words:
-// AddRange and RemoveRange set and clear masked words, RunEnd finds where a
-// run ends with one trailing-zero count per word, and DiffRuns walks the
-// runs of a set difference. Runs, not single chunks, are the unit the guest
-// cache, the hypervisor images and the migration manager hand around.
+// numbered from zero. A Set is a paged bitmap: a directory of pages of
+// 4,096 chunks, where a page never written in part has no storage, every
+// wholly present page shares one read-only block, and only a page written
+// in part owns a private block. Most sets are empty or hold long runs (an
+// idle VM's guest cache, an image that is wholly local), so they cost a
+// directory rather than a bitmap. Range operations work on whole pages and 64-bit
+// words: AddRange and RemoveRange fill or empty the pages they cover and set
+// and clear masked words in the rest, RunEnd finds where a run ends with one
+// step per uniform page and one trailing-zero count per word, and DiffRuns
+// walks the runs of a set difference. Runs, not single chunks, are the unit
+// the guest cache, the hypervisor images and the migration manager hand
+// around.
 package chunk
 
 import (
@@ -120,11 +125,55 @@ func (g Geometry) FullyCovers(r Range, c Idx) bool {
 	return r.Off <= cr.Off && r.End() >= cr.End()
 }
 
-// Set is a dense bitmap of chunk indices with a cached population count.
+// A Set's bitmap is paged: blockBits chunks per page, in blockWords words.
+const (
+	blockShift     = 12
+	blockBits      = 1 << blockShift
+	blockWordShift = blockShift - 6
+	blockWords     = 1 << blockWordShift
+)
+
+// block holds the bits of one page of a Set.
+type block [blockWords]uint64
+
+// fullBlock is the one block every wholly present page of every Set shares.
+// It is read-only: the first write that clears one of its bits copies it.
+var fullBlock = func() *block {
+	b := new(block)
+	for i := range b {
+		b[i] = ^uint64(0)
+	}
+	return b
+}()
+
+// emptyBlock reads as the bits of a page without a block. It is never
+// written.
+var emptyBlock block
+
+// page is one entry of a Set's directory. A page with every member shares
+// fullBlock and a partly filled page owns a private block. A page with no
+// members has no block, or keeps the zeroed private block it emptied a word
+// at a time, ready for its next write.
+type page struct {
+	b   *block
+	pop int // members in the page
+}
+
+// owns reports whether the page holds a private block.
+func (pg *page) owns() bool { return pg.b != nil && pg.b != fullBlock }
+
+// Set is a bitmap of chunk indices with a cached population count, stored
+// as a directory of pages of blockBits chunks. An empty page that was never
+// written in part has no block, a wholly present page shares fullBlock,
+// and only a page written in part owns a private block, so a set costs
+// memory in proportion to the pages it holds in part. Readers tell the
+// kinds of page apart by their counts. No bit at or past n is ever set, so
+// only a page wholly inside the set can be full.
 type Set struct {
-	bits []uint64
-	n    int // chunks representable
-	pop  int
+	dir   []page
+	spare []*block // private blocks dropped from the directory, for reuse
+	n     int      // chunks representable
+	pop   int
 }
 
 // NewSet returns an empty set sized for n chunks.
@@ -132,7 +181,7 @@ func NewSet(n int) *Set {
 	if n < 0 {
 		panic("chunk: negative set size")
 	}
-	return &Set{bits: make([]uint64, (n+63)/64), n: n}
+	return &Set{dir: make([]page, (n+blockBits-1)>>blockShift), n: n}
 }
 
 // Len returns the number of chunks the set can hold.
@@ -144,40 +193,43 @@ func (s *Set) Count() int { return s.pop }
 // Empty reports whether the set has no members.
 func (s *Set) Empty() bool { return s.pop == 0 }
 
+// Blocks returns the number of private blocks the set owns, in its
+// directory or kept for reuse: what it costs beyond the directory.
+func (s *Set) Blocks() int {
+	k := len(s.spare)
+	for _, pg := range s.dir {
+		if pg.owns() {
+			k++
+		}
+	}
+	return k
+}
+
 func (s *Set) check(c Idx) {
-	if c < 0 || int(c) >= s.n {
-		panic(fmt.Sprintf("chunk: index %d out of set of %d", c, s.n))
+	if uint(c) >= uint(s.n) {
+		panic(indexError{"set", int(c), s.n})
 	}
 }
 
 // Contains reports membership.
 func (s *Set) Contains(c Idx) bool {
 	s.check(c)
-	return s.bits[c>>6]&(1<<(uint(c)&63)) != 0
+	b := s.dir[c>>blockShift].b
+	return b != nil && b[c>>6&(blockWords-1)]&(1<<(uint(c)&63)) != 0
 }
 
 // Add inserts c; reports whether it was newly added.
 func (s *Set) Add(c Idx) bool {
-	s.check(c)
-	w, b := c>>6, uint64(1)<<(uint(c)&63)
-	if s.bits[w]&b != 0 {
-		return false
-	}
-	s.bits[w] |= b
-	s.pop++
-	return true
+	pop := s.pop
+	s.update(c, c, true)
+	return s.pop != pop
 }
 
 // Remove deletes c; reports whether it was present.
 func (s *Set) Remove(c Idx) bool {
-	s.check(c)
-	w, b := c>>6, uint64(1)<<(uint(c)&63)
-	if s.bits[w]&b == 0 {
-		return false
-	}
-	s.bits[w] &^= b
-	s.pop--
-	return true
+	pop := s.pop
+	s.update(c, c, false)
+	return s.pop != pop
 }
 
 // checkRange validates a non-empty interval [first, last]. It is small
@@ -198,112 +250,232 @@ func (s *Set) badRange(first, last Idx) {
 // endMasks returns the words holding the ends of [first, last] and the
 // interval's bits in each: lo from first up, hi up to last. Words between
 // them lie wholly inside; when fw == lw the interval's bits are lo & hi.
-func endMasks(first, last Idx) (fw, lw int, lo, hi uint64) {
-	return int(first >> 6), int(last >> 6), ^uint64(0) << (uint(first) & 63), ^uint64(0) >> (63 - uint(last)&63)
+func endMasks(first, last Idx) (fw, lw Idx, lo, hi uint64) {
+	return first >> 6, last >> 6, ^uint64(0) << (uint(first) & 63), ^uint64(0) >> (63 - uint(last)&63)
 }
 
-// AddRange inserts all chunks in [first, last], a word at a time. An
-// interval with last < first is empty and changes nothing.
-func (s *Set) AddRange(first, last Idx) {
+// AddRange inserts all chunks in [first, last]. An interval with
+// last < first is empty and changes nothing.
+func (s *Set) AddRange(first, last Idx) { s.update(first, last, true) }
+
+// RemoveRange deletes all chunks in [first, last]. An interval with
+// last < first is empty and changes nothing.
+func (s *Set) RemoveRange(first, last Idx) { s.update(first, last, false) }
+
+// update sets (on) or clears every chunk in [first, last]. An interval
+// inside one word of a private block takes one masked update, and one
+// inside a page that is already full (on) or empty changes nothing;
+// otherwise each page the interval wholly covers turns full or empty in
+// one step and the rest is masked a word at a time.
+func (s *Set) update(first, last Idx, on bool) {
 	if last < first {
 		return
 	}
 	s.checkRange(first, last)
 	fw, lw, lo, hi := endMasks(first, last)
-	if fw == lw {
-		s.or(fw, lo&hi)
-		return
+	if k := fw >> blockWordShift; k == lw>>blockWordShift {
+		pg := &s.dir[k]
+		if fw == lw && pg.owns() {
+			s.settle(pg, maskWord(pg.b, fw&(blockWords-1), lo&hi, on))
+			return
+		}
+		if pg.pop == blockBits && on || pg.pop == 0 && !on {
+			return
+		}
 	}
-	s.or(fw, lo)
-	for w := fw + 1; w < lw; w++ {
-		s.or(w, ^uint64(0))
-	}
-	s.or(lw, hi)
+	s.fill(first, last, on)
 }
 
-// RemoveRange deletes all chunks in [first, last], a word at a time. An
-// interval with last < first is empty and changes nothing.
-func (s *Set) RemoveRange(first, last Idx) {
-	if last < first {
-		return
+// fill sets (on) or clears every chunk of the valid interval [first, last],
+// a page at a time.
+func (s *Set) fill(first, last Idx, on bool) {
+	for k := int(first) >> blockShift; k <= int(last)>>blockShift; k++ {
+		lo, hi := max(int(first), k<<blockShift), min(int(last), (k+1)<<blockShift-1)
+		if hi-lo == blockBits-1 {
+			s.setPage(&s.dir[k], on)
+			continue
+		}
+		fw, lw, lom, him := endMasks(Idx(lo), Idx(hi))
+		s.mask(fw, lw, lom, him, on)
 	}
-	s.checkRange(first, last)
-	fw, lw, lo, hi := endMasks(first, last)
-	if fw == lw {
-		s.andNot(fw, lo&hi)
-		return
-	}
-	s.andNot(fw, lo)
-	for w := fw + 1; w < lw; w++ {
-		s.andNot(w, ^uint64(0))
-	}
-	s.andNot(lw, hi)
 }
 
-// or sets the bits m of word w.
-func (s *Set) or(w int, m uint64) {
-	s.pop += bits.OnesCount64(m &^ s.bits[w])
-	s.bits[w] |= m
+// setPage makes pg full (on) or empty, dropping its private block.
+func (s *Set) setPage(pg *page, on bool) {
+	s.drop(pg.b)
+	if on {
+		s.pop += blockBits - pg.pop
+		pg.b, pg.pop = fullBlock, blockBits
+	} else {
+		s.pop -= pg.pop
+		pg.b, pg.pop = nil, 0
+	}
 }
 
-// andNot clears the bits m of word w.
-func (s *Set) andNot(w int, m uint64) {
-	s.pop -= bits.OnesCount64(m & s.bits[w])
-	s.bits[w] &^= m
+// mask sets (on) or clears, in the words [fw, lw] of one page, the bits lo
+// selects in word fw, every bit of the words between and the bits hi
+// selects in word lw; when fw == lw it is the bits of lo & hi. The
+// selection must not be empty: a page without a block gets one before
+// anything is set, and a full page is copied before anything is cleared.
+func (s *Set) mask(fw, lw Idx, lo, hi uint64, on bool) {
+	pg := &s.dir[fw>>blockWordShift]
+	if pg.pop == blockBits && on || pg.pop == 0 && !on {
+		return
+	}
+	b := pg.b
+	switch b {
+	case nil:
+		b = s.newBlock()
+		pg.b = b
+	case fullBlock:
+		b = s.newBlock()
+		*b = *fullBlock
+		pg.b = b
+	}
+	i, j := fw&(blockWords-1), lw&(blockWords-1)
+	var d int
+	if i == j {
+		d = maskWord(b, i, lo&hi, on)
+	} else {
+		d = maskWord(b, i, lo, on)
+		for w := i + 1; w < j; w++ {
+			d += maskWord(b, w, ^uint64(0), on)
+		}
+		d += maskWord(b, j, hi, on)
+	}
+	s.settle(pg, d)
+}
+
+// maskWord sets (on) or clears the bits m of word i of b and returns the
+// change in members.
+func maskWord(b *block, i Idx, m uint64, on bool) int {
+	if on {
+		d := bits.OnesCount64(m &^ b[i])
+		b[i] |= m
+		return d
+	}
+	d := bits.OnesCount64(m & b[i])
+	b[i] &^= m
+	return -d
+}
+
+// settle adds d members to pg, whose block is private. A page that filled
+// drops its block for fullBlock; one that emptied keeps its block, now all
+// zeros, for its next write.
+func (s *Set) settle(pg *page, d int) {
+	pg.pop += d
+	s.pop += d
+	if pg.pop == blockBits {
+		s.drop(pg.b)
+		pg.b = fullBlock
+	}
+}
+
+// newBlock returns a zeroed private block, reusing a dropped one if any.
+func (s *Set) newBlock() *block {
+	if k := len(s.spare); k > 0 {
+		b := s.spare[k-1]
+		s.spare = s.spare[:k-1]
+		*b = block{}
+		return b
+	}
+	return new(block)
+}
+
+// drop keeps a private block the directory no longer holds for reuse.
+func (s *Set) drop(b *block) {
+	if b != nil && b != fullBlock {
+		s.spare = append(s.spare, b)
+	}
 }
 
 // RunEnd returns the last index e in [c, last] such that every chunk in
-// [c, e] has the same membership as c. It scans a word at a time: the
-// first differing chunk is the lowest set bit of the word (c absent) or of
-// its complement (c present).
+// [c, e] has the same membership as c. A page that is wholly like c takes
+// one step; in a private block the first differing chunk is the lowest set
+// bit of a word (c absent) or of its complement (c present).
 func (s *Set) RunEnd(c, last Idx) Idx {
 	s.checkRange(c, last)
-	w, lw := int(c>>6), int(last>>6)
 	var flip uint64
-	if s.bits[w]&(1<<(uint(c)&63)) != 0 {
-		flip = ^uint64(0)
+	same := 0 // the count of a page wholly like c
+	if b := s.dir[c>>blockShift].b; b != nil && b[c>>6&(blockWords-1)]&(1<<(uint(c)&63)) != 0 {
+		flip, same = ^uint64(0), blockBits
 	}
-	x := (s.bits[w] ^ flip) &^ (1<<(uint(c)&63) - 1)
-	for x == 0 {
-		if w == lw {
-			return last
+	lw := int(last) >> 6
+	for pos := int(c); pos <= int(last); pos = (pos>>blockShift + 1) << blockShift {
+		pg := &s.dir[pos>>blockShift]
+		if pg.pop == same {
+			continue
 		}
-		w++
-		x = s.bits[w] ^ flip
+		if pg.pop == blockBits-same {
+			return Idx(pos - 1) // a page wholly unlike c, so not c's own
+		}
+		b := pg.b
+		w, end := pos>>6, min(lw, (pos>>blockShift+1)*blockWords-1)
+		x := (b[w&(blockWords-1)] ^ flip) &^ (1<<(uint(pos)&63) - 1)
+		for x == 0 && w < end {
+			w++
+			x = b[w&(blockWords-1)] ^ flip
+		}
+		if x != 0 {
+			return min(Idx(w*64+bits.TrailingZeros64(x)-1), last)
+		}
 	}
-	return min(Idx(w*64+bits.TrailingZeros64(x))-1, last)
+	return last
 }
 
 // DiffRuns yields every maximal run [first, last] of chunks that are in s
-// but not in other, in ascending order, computing s &^ other a word at a
-// time (the sets must be the same size).
+// but not in other, in ascending order (the sets must be the same size). A
+// page where the difference is empty or whole takes one step; elsewhere
+// s &^ other is computed a word at a time.
 func (s *Set) DiffRuns(other *Set) iter.Seq2[Idx, Idx] {
 	if other.n != s.n {
 		panic("chunk: difference of different-sized sets")
 	}
 	return func(yield func(first, last Idx) bool) {
 		start := -1 // first index of the run being extended, or -1
-		for w := range s.bits {
-			word := s.bits[w] &^ other.bits[w]
-			b := 0
-			for b < 64 {
+		for k := range s.dir {
+			pa, po, base := &s.dir[k], &other.dir[k], k<<blockShift
+			switch {
+			case pa.pop == 0 || po.pop == blockBits:
+				if start >= 0 {
+					if !yield(Idx(start), Idx(base-1)) {
+						return
+					}
+					start = -1
+				}
+				continue
+			case pa.pop == blockBits && po.pop == 0:
 				if start < 0 {
-					rest := word >> uint(b)
+					start = base
+				}
+				continue
+			}
+			a, o := pa.b, po.b
+			if o == nil {
+				o = &emptyBlock
+			}
+			for i := range blockWords {
+				word, at := a[i]&^o[i], base+i*64
+				b := 0
+				for b < 64 {
+					if start < 0 {
+						rest := word >> uint(b)
+						if rest == 0 {
+							break
+						}
+						b += bits.TrailingZeros64(rest)
+						start = at + b
+					}
+					rest := ^word >> uint(b)
 					if rest == 0 {
-						break
+						break // the run continues into the next word
 					}
 					b += bits.TrailingZeros64(rest)
-					start = w*64 + b
+					if !yield(Idx(start), Idx(at+b-1)) {
+						return
+					}
+					start = -1
 				}
-				rest := ^word >> uint(b)
-				if rest == 0 {
-					break // the run continues into the next word
-				}
-				b += bits.TrailingZeros64(rest)
-				if !yield(Idx(start), Idx(w*64+b-1)) {
-					return
-				}
-				start = -1
 			}
 		}
 		if start >= 0 {
@@ -312,19 +484,28 @@ func (s *Set) DiffRuns(other *Set) iter.Seq2[Idx, Idx] {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy: full pages stay shared, the private blocks of
+// partly filled pages are copied, and empty pages get no block.
 func (s *Set) Clone() *Set {
-	out := &Set{bits: make([]uint64, len(s.bits)), n: s.n, pop: s.pop}
-	copy(out.bits, s.bits)
+	out := &Set{dir: make([]page, len(s.dir)), n: s.n, pop: s.pop}
+	copy(out.dir, s.dir)
+	for k, pg := range out.dir {
+		switch {
+		case pg.pop == 0:
+			out.dir[k].b = nil
+		case pg.owns():
+			b := *pg.b
+			out.dir[k].b = &b
+		}
+	}
 	return out
 }
 
 // Clear removes all members.
 func (s *Set) Clear() {
-	for i := range s.bits {
-		s.bits[i] = 0
+	for k := range s.dir {
+		s.setPage(&s.dir[k], false)
 	}
-	s.pop = 0
 }
 
 // UnionWith adds every member of other (sets must be the same size).
@@ -332,24 +513,49 @@ func (s *Set) UnionWith(other *Set) {
 	if other.n != s.n {
 		panic("chunk: union of different-sized sets")
 	}
-	pop := 0
-	for i := range s.bits {
-		s.bits[i] |= other.bits[i]
-		pop += bits.OnesCount64(s.bits[i])
+	for k := range s.dir {
+		pg, po := &s.dir[k], &other.dir[k]
+		switch {
+		case po.pop == 0 || pg.pop == blockBits:
+		case po.pop == blockBits:
+			s.setPage(pg, true)
+		default:
+			if pg.b == nil {
+				pg.b = s.newBlock()
+			}
+			d := 0
+			for i, w := range po.b {
+				d += bits.OnesCount64(w &^ pg.b[i])
+				pg.b[i] |= w
+			}
+			s.settle(pg, d)
+		}
 	}
-	s.pop = pop
 }
 
 // ForEach calls fn for each member in ascending order; fn returning false
 // stops iteration early.
 func (s *Set) ForEach(fn func(Idx) bool) {
-	for w, word := range s.bits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			if !fn(Idx(w*64 + b)) {
-				return
+	for k, pg := range s.dir {
+		base := k << blockShift
+		switch pg.pop {
+		case 0:
+		case blockBits:
+			for c := base; c < base+blockBits; c++ {
+				if !fn(Idx(c)) {
+					return
+				}
 			}
-			word &^= 1 << uint(b)
+		default:
+			for i, word := range pg.b {
+				for word != 0 {
+					b := bits.TrailingZeros64(word)
+					if !fn(Idx(base + i*64 + b)) {
+						return
+					}
+					word &^= 1 << uint(b)
+				}
+			}
 		}
 	}
 }
@@ -364,7 +570,8 @@ func (s *Set) Members() []Idx {
 	return out
 }
 
-// NextFrom returns the smallest member >= c, or -1 if none.
+// NextFrom returns the smallest member >= c, or -1 if none. Empty pages
+// take one step each.
 func (s *Set) NextFrom(c Idx) Idx {
 	if c < 0 {
 		c = 0
@@ -372,18 +579,30 @@ func (s *Set) NextFrom(c Idx) Idx {
 	if int(c) >= s.n {
 		return -1
 	}
-	w := int(c >> 6)
-	word := s.bits[w] >> (uint(c) & 63) << (uint(c) & 63)
-	for {
-		if word != 0 {
-			return Idx(w*64 + bits.TrailingZeros64(word))
+	for k := int(c) >> blockShift; k < len(s.dir); k++ {
+		pg := &s.dir[k]
+		if pg.pop == 0 {
+			continue
 		}
-		w++
-		if w >= len(s.bits) {
-			return -1
+		pos := max(int(c), k<<blockShift)
+		if pg.pop == blockBits {
+			return Idx(pos)
 		}
-		word = s.bits[w]
+		b := pg.b
+		w := pos >> 6 & (blockWords - 1)
+		word := b[w] >> (uint(pos) & 63) << (uint(pos) & 63)
+		for {
+			if word != 0 {
+				return Idx(k<<blockShift + w*64 + bits.TrailingZeros64(word))
+			}
+			w++
+			if w == blockWords {
+				break
+			}
+			word = b[w]
+		}
 	}
+	return -1
 }
 
 // NextRunFrom returns the first contiguous run of members starting at or
@@ -449,8 +668,8 @@ func (wc *Counter) Inc(c Idx) uint32 {
 	return wc.counts[c]
 }
 
-// indexError is the panic value of an out-of-range index into a Counter or
-// an IDs array. It formats only when printed, which keeps the checks cheap
+// indexError is the panic value of an out-of-range index into a Set, a
+// Counter or an IDs array. It formats only when printed, which keeps the checks cheap
 // enough for the accessors to inline.
 type indexError struct {
 	of   string

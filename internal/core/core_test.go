@@ -9,9 +9,11 @@ import (
 	"github.com/hybridmig/hybridmig/internal/chunk"
 	"github.com/hybridmig/hybridmig/internal/fabric"
 	"github.com/hybridmig/hybridmig/internal/flow"
+	"github.com/hybridmig/hybridmig/internal/guest"
 	"github.com/hybridmig/hybridmig/internal/params"
 	"github.com/hybridmig/hybridmig/internal/pfs"
 	"github.com/hybridmig/hybridmig/internal/sim"
+	"github.com/hybridmig/hybridmig/internal/vm"
 )
 
 const (
@@ -139,14 +141,17 @@ func migrate(r *rig, im *Image, dstNode int, pushDur float64, after func(p *sim.
 
 // TestPreseededIdleMigrationIsSparse: a preseeded VM that writes nothing
 // migrates without allocating a content page on either side, storage for
-// its write counts or a dedup set, in every mode. This is the per-VM cost
+// its write counts or a dedup set, in every mode, and after the control
+// transfer marks its wholly local image resident, its guest cache's
+// resident and dirty sets hold no private block. This is the per-VM cost
 // of an idle fleet.
 func TestPreseededIdleMigrationIsSparse(t *testing.T) {
 	for _, mode := range []Mode{ModeHybrid, ModeMirror, ModePostcopy} {
 		r := newRig()
 		opts := DefaultOptions(mode)
 		opts.Preseeded = true
-		im := r.imageOpts(opts, 0)
+		g := r.guestOver(opts, 0)
+		im := g.VM.Image.(*Image)
 		src := im.cur
 		var dst *side
 		var counts *chunk.Counter
@@ -154,6 +159,10 @@ func TestPreseededIdleMigrationIsSparse(t *testing.T) {
 			im.MigrationRequest(r.cl.Nodes[1])
 			dst, counts = im.dst, im.writeCount
 			im.Sync(p)
+			// The orchestrator's control-transfer step: the destination
+			// cache starts cold but for what the migration moved.
+			g.Cache.Invalidate()
+			im.ForEachLocalRange(g.Cache.MarkCachedRange)
 		})
 		r.run(t)
 		if !im.Stats().Complete || im.cur != dst {
@@ -169,7 +178,29 @@ func TestPreseededIdleMigrationIsSparse(t *testing.T) {
 		if im.known != nil {
 			t.Errorf("%v: a dedup content set exists with Dedup off", mode)
 		}
+		if got, want := g.Cache.CachedBytes(), int64(imageSize); got != want {
+			t.Errorf("%v: %d bytes cached after control transfer, want the whole image (%d)", mode, got, want)
+		}
+		if b := g.Cache.Blocks(); b != 0 {
+			t.Errorf("%v: guest cache sets hold %d private blocks after control transfer, want 0", mode, b)
+		}
 	}
+}
+
+// guestOver assembles a guest whose image is a manager Image on node over
+// the guest's host cache, as a cluster launch does: 4 KB cache pages, so
+// the cache's sets span several pages of the image.
+func (r *rig) guestOver(opts Options, node int) *guest.Guest {
+	v := vm.New(r.eng, "vm", r.cl.Nodes[node], vm.NewMemory(256*mb, 256*kb))
+	gp := params.DefaultGuest()
+	gp.CachePage = 4 * kb
+	return guest.New(r.eng, v, gp, guest.Options{
+		HostCache: true,
+		Inner:     &guest.RawDisk{Cl: r.cl, Node: func() *fabric.Node { return v.Node }, Geo: r.geo},
+		MakeImage: func(backing vm.DiskImage) vm.DiskImage {
+			return NewImage(r.eng, r.cl, r.cl.Nodes[node], r.geo, r.base, backing, opts, "img")
+		},
+	})
 }
 
 func TestHybridQuiescentMigration(t *testing.T) {

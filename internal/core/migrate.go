@@ -595,13 +595,17 @@ func (im *Image) unregisterFlow(f *flow.Flow) {
 // register it for Abort, wait, unregister. It reports whether the attempt
 // that issued it is still live — false means a fault tore the attempt down
 // mid-transfer (the abort already charged the wire bytes) and the caller
-// must touch no further attempt state.
+// must touch no further attempt state. The flow is pooled: only the abort
+// set refers to it besides this call, and cancelXfers reads it before the
+// waiting process resumes, so once unregistered it is free.
 func (im *Image) trackedTransfer(p *sim.Proc, epoch uint64, links []*flow.Link, size float64, tag flow.Tag) bool {
-	f := &flow.Flow{Links: links, Size: size, Tag: tag}
+	f := im.cl.Net.AcquireFlow()
+	f.Links, f.Size, f.Tag = links, size, tag
 	im.cl.Net.Start(f)
 	im.registerFlow(f)
 	f.Wait(p)
 	im.unregisterFlow(f)
+	im.cl.Net.ReleaseFlow(f)
 	return im.migEpoch == epoch
 }
 

@@ -181,6 +181,10 @@ func (c *Cache) DirtyBytes() int64 { return int64(c.dirty.Count()) * c.pageSize 
 // CachedBytes returns the bytes resident in the cache.
 func (c *Cache) CachedBytes() int64 { return int64(c.cached.Count()) * c.pageSize }
 
+// Blocks returns the private bitmap blocks the cache's resident and dirty
+// sets own: a cache that is empty or wholly resident owns none.
+func (c *Cache) Blocks() int { return c.cached.Blocks() + c.dirty.Blocks() }
+
 // span converts a byte range to cache-page interval [first, last].
 func (c *Cache) span(off, length int64) (chunk.Idx, chunk.Idx) {
 	return chunk.Idx(off / c.pageSize), chunk.Idx((off + length - 1) / c.pageSize)
