@@ -41,10 +41,36 @@ func (r Range) End() int64 { return r.Off + r.Len }
 // Empty reports whether the range has zero length.
 func (r Range) Empty() bool { return r.Len <= 0 }
 
-// Geometry describes the chunking of an image.
+// Divisor divides non-negative byte offsets by a fixed positive size: with
+// a shift when the size is a power of two, as page and chunk sizes are in
+// every recorded run, and with a division otherwise.
+type Divisor struct {
+	n     int64
+	shift uint8
+	pow2  bool
+}
+
+// NewDivisor returns a Divisor by n, which must be positive.
+func NewDivisor(n int64) Divisor {
+	if n <= 0 {
+		panic(fmt.Sprintf("chunk: divisor %d is not positive", n))
+	}
+	return Divisor{n: n, shift: uint8(bits.TrailingZeros64(uint64(n))), pow2: n&(n-1) == 0}
+}
+
+// Div returns x / n for x >= 0.
+func (d Divisor) Div(x int64) int64 {
+	if d.pow2 {
+		return x >> d.shift
+	}
+	return x / d.n
+}
+
+// Geometry describes the chunking of an image. Build it with NewGeometry.
 type Geometry struct {
 	ImageSize int64 // bytes
 	ChunkSize int64 // bytes per chunk
+	div       Divisor
 }
 
 // NewGeometry validates and returns a Geometry.
@@ -52,7 +78,7 @@ func NewGeometry(imageSize, chunkSize int64) Geometry {
 	if imageSize <= 0 || chunkSize <= 0 {
 		panic(fmt.Sprintf("chunk: invalid geometry (image %d, chunk %d)", imageSize, chunkSize))
 	}
-	return Geometry{ImageSize: imageSize, ChunkSize: chunkSize}
+	return Geometry{ImageSize: imageSize, ChunkSize: chunkSize, div: NewDivisor(chunkSize)}
 }
 
 // Chunks returns the number of chunks in the image.
@@ -65,7 +91,7 @@ func (g Geometry) ChunkOf(off int64) Idx {
 	if off < 0 || off >= g.ImageSize {
 		panic(fmt.Sprintf("chunk: offset %d outside image of %d bytes", off, g.ImageSize))
 	}
-	return Idx(off / g.ChunkSize)
+	return Idx(g.div.Div(off))
 }
 
 // Span returns the half-open chunk interval [first, last] covering r.
@@ -76,7 +102,7 @@ func (g Geometry) Span(r Range) (first, last Idx) {
 	if r.Off < 0 || r.End() > g.ImageSize {
 		panic(fmt.Sprintf("chunk: range [%d,%d) outside image of %d bytes", r.Off, r.End(), g.ImageSize))
 	}
-	return Idx(r.Off / g.ChunkSize), Idx((r.End() - 1) / g.ChunkSize)
+	return Idx(g.div.Div(r.Off)), Idx(g.div.Div(r.End() - 1))
 }
 
 // Clip returns the part of r that falls within the chunk run [first, last],

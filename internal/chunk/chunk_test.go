@@ -37,6 +37,46 @@ func TestGeometrySpan(t *testing.T) {
 	}
 }
 
+// TestGeometrySpanNonPowerOfTwo runs Span and ChunkOf on the division path:
+// a 3,000-byte chunk is not a power of two, so no shift applies.
+func TestGeometrySpanNonPowerOfTwo(t *testing.T) {
+	g := NewGeometry(10000, 3000)
+	if g.div.pow2 {
+		t.Fatal("a 3000-byte chunk took the shift path")
+	}
+	for _, c := range []struct {
+		r           Range
+		first, last Idx
+	}{
+		{Range{Off: 0, Len: 1}, 0, 0},
+		{Range{Off: 2999, Len: 2}, 0, 1},
+		{Range{Off: 3000, Len: 3000}, 1, 1},
+		{Range{Off: 5999, Len: 4001}, 1, 3},
+	} {
+		if first, last := g.Span(c.r); first != c.first || last != c.last {
+			t.Errorf("Span(%+v) = [%d,%d], want [%d,%d]", c.r, first, last, c.first, c.last)
+		}
+	}
+	if g.ChunkOf(8999) != 2 || g.ChunkOf(9000) != 3 {
+		t.Fatalf("ChunkOf(8999), ChunkOf(9000) = %d, %d; want 2, 3", g.ChunkOf(8999), g.ChunkOf(9000))
+	}
+}
+
+// TestDivisor checks the shift and the division path against the / operator.
+func TestDivisor(t *testing.T) {
+	for _, n := range []int64{1, 2, 3, 4096, 4095, 1 << 20, 1<<20 + 1, 1000} {
+		d := NewDivisor(n)
+		if d.pow2 != (n&(n-1) == 0) {
+			t.Fatalf("NewDivisor(%d).pow2 = %v", n, d.pow2)
+		}
+		for _, x := range []int64{0, 1, n - 1, n, n + 1, 3*n - 1, 1<<40 + 12345} {
+			if got := d.Div(x); got != x/n {
+				t.Fatalf("Div(%d) by %d = %d, want %d", x, n, got, x/n)
+			}
+		}
+	}
+}
+
 func TestGeometryClip(t *testing.T) {
 	g := NewGeometry(1000, 256)
 	r := Range{Off: 100, Len: 700} // [100, 800): chunks 0..3

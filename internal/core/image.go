@@ -281,9 +281,6 @@ func (im *Image) Node() *fabric.Node { return im.cur.node }
 // Stats returns a copy of the migration statistics.
 func (im *Image) Stats() Stats { return im.stats }
 
-// Mode returns the configured strategy.
-func (im *Image) Mode() Mode { return im.opts.Mode }
-
 // ModifiedCount returns the number of locally modified chunks on the active
 // side.
 func (im *Image) ModifiedCount() int { return im.cur.modified.Count() }
@@ -320,15 +317,6 @@ func (im *Image) markKnown(id uint64) {
 	if im.known != nil {
 		im.known[id] = true
 	}
-}
-
-// chunkBytes sums the byte lengths of the given chunks.
-func (im *Image) chunkBytes(cs []chunk.Idx) float64 {
-	var b int64
-	for _, c := range cs {
-		b += im.geo.ChunkLen(c)
-	}
-	return float64(b)
 }
 
 // Read implements vm.DiskImage (Algorithm 4 generalized to ranges).
@@ -429,8 +417,11 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	if im.mirrorActive && im.isMigratingSource() {
 		// Synchronous mirroring: the write travels to the destination in
 		// parallel with the local write and must complete there before we
-		// acknowledge (Haselhorst et al.).
-		mirrorFlow = im.cl.TransferFlow(side.node, im.dstNode, float64(length), flow.TagMirror, nil)
+		// acknowledge (Haselhorst et al.). The flow is pooled as in
+		// trackedTransfer.
+		mirrorFlow = im.cl.Net.AcquireFlow()
+		mirrorFlow.Links, mirrorFlow.Size, mirrorFlow.Tag = im.cl.NetPath(side.node, im.dstNode), float64(length), flow.TagMirror
+		im.cl.Net.Start(mirrorFlow)
 		im.registerFlow(mirrorFlow)
 	}
 	// The write lands in the manager's backing store (host-cached file).
@@ -459,6 +450,7 @@ func (im *Image) Write(p *sim.Proc, off, length int64) {
 	if mirrorFlow != nil {
 		mirrorFlow.Wait(p)
 		im.unregisterFlow(mirrorFlow)
+		im.cl.Net.ReleaseFlow(mirrorFlow)
 		if im.migEpoch != epoch {
 			return // aborted mid-mirror: the destination copy is gone
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/chunk"
+	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
@@ -143,6 +145,35 @@ func TestWriteBookkeepingByRole(t *testing.T) {
 			})
 			r.run(t)
 		})
+	}
+}
+
+// TestMirrorWritePooledFlow: with a flow waiting in the net's pool, a
+// mirrored write takes that flow for its transfer, registers it for Abort
+// while it is on the wire, and returns it to the pool once it completes: a
+// warmed mirrored write allocates no flow.
+func TestMirrorWritePooledFlow(t *testing.T) {
+	r := newRig()
+	im := r.image(ModeMirror, 0)
+	warm := r.cl.Net.AcquireFlow()
+	r.cl.Net.ReleaseFlow(warm)
+	var onWire []*flow.Flow
+	r.eng.Go("writer", func(p *sim.Proc) {
+		im.MigrationRequest(r.cl.Nodes[1])
+		r.eng.After(0, func() { onWire = slices.Clone(im.xferFlows) })
+		im.Write(p, 0, chunkSize) // whole chunk: no read-modify-write first
+		if got := r.cl.Net.AcquireFlow(); got != warm {
+			t.Error("the mirror flow did not return to the pool")
+		}
+		p.Sleep(1)
+		im.Sync(p)
+	})
+	r.run(t)
+	if !slices.Contains(onWire, warm) {
+		t.Fatalf("the mirror write did not take the pooled flow: on the wire %v", onWire)
+	}
+	if st := im.Stats(); !st.Complete || st.MirroredBytes != chunkSize {
+		t.Fatalf("complete %v, mirrored %g bytes; want true, %d", st.Complete, st.MirroredBytes, chunkSize)
 	}
 }
 

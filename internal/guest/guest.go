@@ -112,9 +112,6 @@ func (d *RawDisk) Sync(p *sim.Proc) {}
 // Geometry implements vm.DiskImage.
 func (d *RawDisk) Geometry() chunk.Geometry { return d.Geo }
 
-// Inner returns the device below the cache layer.
-func (g *Guest) Inner() vm.DiskImage { return g.Cache.inner }
-
 // Cache is the buffered I/O layer at cache-page granularity over the image's
 // address space. It implements vm.DiskImage so it can interpose on the VM's
 // image. In passthrough mode it forwards everything to the inner image.
@@ -125,6 +122,7 @@ type Cache struct {
 	on    bool // false = passthrough (cache=none semantics)
 
 	pageSize int64
+	pageDiv  chunk.Divisor // divides offsets by pageSize
 	pages    int
 	cached   *chunk.Set // pages whose content is resident
 	dirty    *chunk.Set // pages not yet written back
@@ -161,6 +159,7 @@ func newCache(eng *sim.Engine, g *Guest, inner vm.DiskImage, on bool) *Cache {
 		inner:    inner,
 		on:       on,
 		pageSize: ps,
+		pageDiv:  chunk.NewDivisor(ps),
 		pages:    n,
 		cached:   chunk.NewSet(n),
 		dirty:    chunk.NewSet(n),
@@ -187,7 +186,7 @@ func (c *Cache) Blocks() int { return c.cached.Blocks() + c.dirty.Blocks() }
 
 // span converts a byte range to cache-page interval [first, last].
 func (c *Cache) span(off, length int64) (chunk.Idx, chunk.Idx) {
-	return chunk.Idx(off / c.pageSize), chunk.Idx((off + length - 1) / c.pageSize)
+	return chunk.Idx(c.pageDiv.Div(off)), chunk.Idx(c.pageDiv.Div(off + length - 1))
 }
 
 // dirtyGuestMem charges the guest's own page-cache copy for buffered I/O.

@@ -150,9 +150,6 @@ func NewManager(eng *sim.Engine, bus *trace.Bus, opt Options, reachable func(nod
 	}
 }
 
-// Options returns the effective (defaulted) options.
-func (m *Manager) Options() Options { return m.opt }
-
 func (m *Manager) vol(name string) *volume {
 	v := m.vols[name]
 	if v == nil {

@@ -60,3 +60,24 @@ func BenchmarkSleepElided(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkParkOnCallback measures a process woken by a callback: each
+// iteration arms a timer whose callback signals the Cond the process then
+// waits on. Under Run the process hosts its park, firing the callback on
+// its own coroutine and taking the wake-up in place.
+func BenchmarkParkOnCallback(b *testing.B) {
+	e := sim.New()
+	var c sim.Cond
+	signal := func() { c.Signal(e) }
+	e.Go("waiter", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			e.After(1, signal)
+			c.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

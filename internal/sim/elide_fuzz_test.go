@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// A fuzz program is a tree of process scripts decoded from the fuzz input.
-// Running it twice, once under the run loops (which elide wake-ups) and
-// once under stepUntil (which never does), must give the same trace.
+// A fuzz program is a tree of process scripts decoded from the fuzz input,
+// plus processes that repeatedly wait on a Cond their own timer signals and
+// optional panicking and stopping callbacks. Running it twice, once under
+// the run loops (which elide wake-ups and host parks) and once under
+// stepUntil (which does neither), must give the same trace.
 
 type opKind uint8
 
@@ -34,12 +36,22 @@ type progOp struct {
 
 type script struct{ ops []progOp }
 
+// condLoop is a process that arms a timer whose callback signals the
+// process's own Cond, waits on it, and does so n times.
+type condLoop struct {
+	n int
+	d Duration
+}
+
 type program struct {
 	procs        []*script
 	limits       [2]Time // successive RunUntil limits; +Inf runs with Run
 	intrEvery    int     // interrupt stride, 0 = no hook
 	intrAt       int     // the poll that reports true, 0 = never
 	timerSignals bool    // timer callbacks signal a condition
+	loops        []condLoop
+	panicAt      Time // a callback panics at this time; < 0 = none
+	stopAt       Time // a callback stops the engine at this time; < 0 = none
 }
 
 // fuzzDurations makes exact ties common: several entries coincide, and
@@ -47,6 +59,10 @@ type program struct {
 var fuzzDurations = [...]Duration{0, 0, 0.25, 0.5, 0.5, 1, 1, 2, 3, 0.75}
 
 var fuzzLimits = [...]Time{math.Inf(1), 0, 0.5, 1, 1.75, 2, 3, 4.5, 8}
+
+// fuzzCallbackTimes are the panicking and stopping callbacks' times; the
+// first entry means none.
+var fuzzCallbackTimes = [...]Time{-1, 0, 0.5, 1, 1.5, 2, 3, 4.5}
 
 type byteReader struct {
 	b []byte
@@ -98,6 +114,15 @@ func decodeProgram(data []byte) program {
 	for i := 0; i < nprocs; i++ {
 		p.procs = append(p.procs, decodeScript(r, 0))
 	}
+	// The extension reads past the scripts, so an input that ends there
+	// (as the first corpus entries do) decodes to the program it always
+	// did: no loops, no panicking or stopping callback.
+	nloops := r.next() % 4
+	for i := 0; i < nloops; i++ {
+		p.loops = append(p.loops, condLoop{n: 1 + r.next()%8, d: fuzzDurations[r.next()%len(fuzzDurations)]})
+	}
+	p.panicAt = fuzzCallbackTimes[r.next()%len(fuzzCallbackTimes)]
+	p.stopAt = fuzzCallbackTimes[r.next()%len(fuzzCallbackTimes)]
 	return p
 }
 
@@ -117,15 +142,37 @@ type runOutcome struct {
 	stats   Stats
 }
 
+// hostCounts say how often a run took the hosted path: Cond wake-ups taken
+// with no dispatch, and timer callbacks fired on a process's coroutine.
+type hostCounts struct {
+	wakes, callbacks int
+}
+
 // execute runs the program on a fresh engine, driving each phase with
-// drive, and returns everything observable about the run.
-func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
+// drive, and returns everything observable about the run, and how often it
+// took the hosted path.
+func (pr program) execute(drive func(e *Engine, limit Time) error) (runOutcome, hostCounts) {
 	e := New()
 	var out runOutcome
+	var hosted hostCounts
 	var conds [2]Cond
 	var timers []Timer
 	logf := func(who string, step int) {
 		out.log = append(out.log, traceEntry{e.Now(), who, step})
+	}
+	// wait parks p on c, counting a wake-up that took no dispatch: only a
+	// hosted park resumes a process without one.
+	wait := func(p *Proc, c *Cond) {
+		before := e.stats.Dispatches
+		c.Wait(p)
+		if e.stats.Dispatches == before {
+			hosted.wakes++
+		}
+	}
+	hostedCallback := func() {
+		if e.current != nil {
+			hosted.callbacks++
+		}
 	}
 	var body func(name string, s *script) func(p *Proc)
 	body = func(name string, s *script) func(p *Proc) {
@@ -136,7 +183,7 @@ func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
 				case opSleep:
 					p.Sleep(op.d)
 				case opWait:
-					conds[op.cond].Wait(p)
+					wait(p, &conds[op.cond])
 				case opSignal:
 					conds[op.cond].Signal(e)
 				case opBroadcast:
@@ -147,6 +194,7 @@ func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
 					id := len(timers)
 					c := op.cond
 					fn := func() {
+						hostedCallback()
 						logf(fmt.Sprintf("timer%d", id), 0)
 						if pr.timerSignals {
 							conds[c].Signal(e)
@@ -174,6 +222,37 @@ func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
 		name := fmt.Sprintf("p%d", i)
 		e.Go(name, body(name, s))
 	}
+	for i, l := range pr.loops {
+		name := fmt.Sprintf("l%d", i)
+		var c Cond
+		signal := func() {
+			hostedCallback()
+			logf(name+"/timer", 0)
+			c.Signal(e)
+		}
+		e.Go(name, func(p *Proc) {
+			for j := 0; j < l.n; j++ {
+				logf(name, j)
+				e.After(l.d, signal)
+				wait(p, &c)
+			}
+			logf(name, l.n)
+		})
+	}
+	if pr.panicAt >= 0 {
+		e.At(pr.panicAt, func() {
+			hostedCallback()
+			logf("panic", 0)
+			panic(fmt.Sprintf("boom at %g", e.Now()))
+		})
+	}
+	if pr.stopAt >= 0 {
+		e.At(pr.stopAt, func() {
+			hostedCallback()
+			logf("stop", 0)
+			e.Stop()
+		})
+	}
 	if pr.intrEvery > 0 {
 		polls := 0
 		e.SetInterrupt(pr.intrEvery, func() bool {
@@ -182,8 +261,19 @@ func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
 			return polls == pr.intrAt
 		})
 	}
+	// A callback's panic leaves the drive as a panic; the engine stays
+	// usable, so the next phase runs on.
+	driveOrPanic := func(limit Time) (err error, panicked any) {
+		defer func() { panicked = recover() }()
+		return drive(e, limit), nil
+	}
 	for i, limit := range pr.limits {
-		if err := drive(e, limit); err != nil {
+		err, pv := driveOrPanic(limit)
+		if pv != nil {
+			out.errs[i] = fmt.Sprintf("panic: %v", pv)
+			continue
+		}
+		if err != nil {
 			out.errs[i] = err.Error()
 			if !errors.Is(err, ErrInterrupted) {
 				break
@@ -192,7 +282,7 @@ func (pr program) execute(drive func(e *Engine, limit Time) error) runOutcome {
 	}
 	out.now, out.pending, out.live, out.seq, out.stats = e.Now(), e.PendingEvents(), e.LiveProcs(), e.seq, e.Stats()
 	e.Shutdown()
-	return out
+	return out, hosted
 }
 
 // runLoop drives a phase with the real run loops: Run for an infinite
@@ -205,13 +295,14 @@ func runLoop(e *Engine, limit Time) error {
 }
 
 // checkElisionEquivalence runs the program decoded from data both ways,
-// compares them and returns how many wakes the run loops elided.
-func checkElisionEquivalence(t *testing.T, data []byte) uint64 {
+// compares them and returns how many wakes the run loops elided and how
+// often they took the hosted path.
+func checkElisionEquivalence(t *testing.T, data []byte) (uint64, hostCounts) {
 	pr := decodeProgram(data)
-	got := pr.execute(runLoop)
-	ref := pr.execute(stepUntil)
-	if ref.stats.Elided != 0 {
-		t.Fatalf("the Step reference elided %d wakes", ref.stats.Elided)
+	got, hosted := pr.execute(runLoop)
+	ref, refHosted := pr.execute(stepUntil)
+	if ref.stats.Elided != 0 || refHosted != (hostCounts{}) {
+		t.Fatalf("the Step reference elided %d wakes and hosted %+v", ref.stats.Elided, refHosted)
 	}
 	if len(got.log) != len(ref.log) {
 		t.Fatalf("trace length %d under the run loops, %d under Step\nrun:  %v\nstep: %v",
@@ -230,12 +321,13 @@ func checkElisionEquivalence(t *testing.T, data []byte) uint64 {
 	if got.stats.Callbacks != ref.stats.Callbacks || got.stats.Dispatches+got.stats.Elided != ref.stats.Dispatches {
 		t.Fatalf("stats %+v under the run loops, %+v under Step", got.stats, ref.stats)
 	}
-	return got.stats.Elided
+	return got.stats.Elided, hosted
 }
 
 // FuzzSleepElision checks that taking wake-ups in place changes nothing
 // observable: random programs of sleeping, waiting, signalling and spawning
-// processes and scheduled and canceled timers, under one or two RunUntil
+// processes, processes woken by their own timers, scheduled and canceled
+// timers and panicking and stopping callbacks, under one or two RunUntil
 // limits and an optional interrupt hook, give the same trace, clock,
 // sequence number, queue and live processes under the run loops as under a
 // Step loop, and Dispatches+Elided equals the Step loop's Dispatches.
@@ -243,14 +335,24 @@ func FuzzSleepElision(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 0, 0, 0, 0, 7, 0, 5, 0, 4, 0, 1, 0, 7, 0, 2, 0, 1, 5, 6, 0, 3})
 	f.Add([]byte{7, 8, 2, 3, 5, 1, 4, 1, 2, 0, 0, 1, 3, 0, 4, 0, 5, 1, 6, 7, 0, 2, 1, 5, 3, 1, 0, 9, 9})
+	// One sleeper beside two timer-woken loops; the same with a panicking
+	// callback at 1 s and a stop at 3 s, and under the limits 4.5 and 8;
+	// and one zero-delay loop under an interrupt stride of 3.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 2, 7, 5, 7, 2, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 2, 7, 5, 7, 2, 3, 6})
+	f.Add([]byte{0, 7, 8, 0, 0, 0, 0, 5, 0, 2, 7, 5, 7, 2, 0, 0})
+	f.Add([]byte{0, 0, 0, 3, 5, 0, 0, 0, 5, 0, 1, 7, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { checkElisionEquivalence(t, data) })
 }
 
 // TestSleepElisionPrograms runs a fixed batch of pseudo-random programs
 // through the fuzz check, so the equivalence is exercised well beyond the
-// seed corpus on every test run.
+// seed corpus on every test run. The batch must reach both in-place paths:
+// an elided sleep, and a hosted park that fired a callback and took its
+// wake-up in place.
 func TestSleepElisionPrograms(t *testing.T) {
 	var elided uint64
+	var hosted hostCounts
 	state := uint64(1)
 	for i := 0; i < 500; i++ {
 		data := make([]byte, 64)
@@ -258,9 +360,16 @@ func TestSleepElisionPrograms(t *testing.T) {
 			state = state*6364136223846793005 + 1442695040888963407
 			data[j] = byte(state >> 56)
 		}
-		elided += checkElisionEquivalence(t, data)
+		n, h := checkElisionEquivalence(t, data)
+		elided += n
+		hosted.wakes += h.wakes
+		hosted.callbacks += h.callbacks
 	}
 	if elided == 0 {
 		t.Fatal("no program elided a wake")
 	}
+	if hosted.wakes == 0 || hosted.callbacks == 0 {
+		t.Fatalf("no program took a hosted wake-up: %+v", hosted)
+	}
+	t.Logf("%d wakes elided; %d hosted wake-ups, %d hosted callbacks", elided, hosted.wakes, hosted.callbacks)
 }

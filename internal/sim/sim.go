@@ -18,6 +18,20 @@
 // on a free list, canceled timers are removed from the heap eagerly (via the
 // stored heap index) instead of leaving tombstones, and process wake-ups are
 // scheduled as direct dispatch events rather than closures.
+//
+// Cheaper than a round trip is none. A Sleep whose wake-up is the next event
+// takes it in place. A process that the run loop has resumed with nothing but
+// callbacks fired since it parked hosts its parks from then on: it fires the
+// queued callbacks on its own coroutine and, when the head is its own
+// wake-up, pops it and returns. It hands control back at another process's
+// wake-up, the RunUntil limit, a stop, a process panic or the interrupt poll,
+// and after firing callbacks and still handing back it stops hosting until
+// the run loop grants it again. Event order, sequence numbers and the
+// interrupt cadence are exactly those of the run loop; Step never hosts or
+// elides. A panic in a hosted callback leaves RunUntil on the caller's
+// goroutine, as from the run loop, and a Stop made by a hosted callback
+// kills the hosting process after every other one, once it has handed
+// control back.
 package sim
 
 import (
@@ -136,16 +150,24 @@ type Engine struct {
 
 	limit Time  // horizon of the active RunUntil; meaningful while running
 	stats Stats // work counters, always on
+
+	// Hosted run loop (Proc.hostRun). parked is the process whose park
+	// ended the last dispatch, nil if that process finished. A hosted
+	// callback's panic, and a Stop made by a hosted callback, are carried
+	// back to dispatch, which acts on them on the run loop's goroutine.
+	parked      *Proc
+	hostPanic   any
+	hostStopped bool
 }
 
 // Stats are exact work counters of an Engine, always on. A wake-up taken in
-// place by Sleep (Elided) replaces exactly one dispatch the run loop would
-// otherwise have made, so Dispatches+Elided is the same for every way the
-// same simulation is driven.
+// place (Elided), by Sleep or by a hosted park, replaces exactly one
+// dispatch the run loop would otherwise have made, so Dispatches+Elided is
+// the same for every way the same simulation is driven.
 type Stats struct {
 	Callbacks  uint64 // callback events fired
 	Dispatches uint64 // process resumes: coroutine round trips
-	Elided     uint64 // Sleep wake-ups taken in place, without a round trip
+	Elided     uint64 // wake-ups taken in place, without a round trip
 }
 
 // Stats returns the engine's work counters.
@@ -433,15 +455,19 @@ func (e *Engine) PendingEvents() int { return len(e.queue) }
 // Proc is a simulation process: sequential code that can sleep on the
 // virtual clock and block on conditions. A Proc must only be used from its
 // own process function. It runs as an iter.Pull coroutine: next resumes it,
-// yield parks it, stop kills it. All three are nil once the process has
-// finished or been killed, so its closure is collectable while the engine
-// lives on.
+// raw (the coroutine's yield) parks it, stop kills it. park calls yield,
+// which is raw, or hostYield while the process may host. All are nil once
+// the process has finished or been killed, so its closure is collectable
+// while the engine lives on.
 type Proc struct {
-	eng   *Engine
-	name  string
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	eng       *Engine
+	name      string
+	next      func() (struct{}, bool)
+	stop      func()
+	yield     func(struct{}) bool
+	raw       func(struct{}) bool
+	hostYield func(struct{}) bool // p.hostedYield, bound at the first grant
+	host      bool                // yield is hostYield
 }
 
 // Engine returns the engine this process belongs to.
@@ -459,7 +485,7 @@ func (p *Proc) Name() string { return p.name }
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
+		p.yield, p.raw = yield, yield
 		defer p.catch()
 		fn(p)
 	})
@@ -479,25 +505,141 @@ func (p *Proc) catch() {
 	}
 }
 
-// dispatch hands control to p and returns once p parks or finishes.
+// dispatch hands control to p and returns once p parks or finishes. A
+// process the run loop resumes with nothing but callbacks fired since it
+// parked has shown the pattern a hosted park pays for, and may host from
+// now on. Step grants nothing: it never hosts.
 func (e *Engine) dispatch(p *Proc) {
 	if p.next == nil {
 		return
 	}
+	if e.parked == p && !p.host && e.running {
+		p.grantHost()
+	}
 	prev := e.current
 	e.current = p
 	e.stats.Dispatches++
-	if _, ok := p.next(); !ok {
+	_, ok := p.next()
+	e.current = prev
+	if ok {
+		e.parked = p
+	} else {
+		e.parked = nil
 		p.release()
 	}
-	e.current = prev
+	if e.hostStopped || e.hostPanic != nil {
+		e.endHosted(p)
+	}
+}
+
+// endHosted finishes, on the run loop's goroutine, what a hosted callback
+// could not do on p's coroutine: kill p after a Stop (p was the running
+// process, so Shutdown skipped it), then re-raise the callback's panic, so
+// it leaves RunUntil as it would have from the run loop.
+func (e *Engine) endHosted(p *Proc) {
+	if e.hostStopped {
+		e.hostStopped = false
+		p.kill()
+	}
+	if v := e.hostPanic; v != nil {
+		e.hostPanic = nil
+		panic(v)
+	}
+}
+
+// mayTakeNext reports whether p may take the run loop's next firing, due at
+// t, itself: p is the running process inside RunUntil, the engine is
+// neither stopped nor holding a process panic, t is within the limit, and
+// the interrupt countdown is not at its last tick (there the run loop must
+// make the poll). Sleep's in-place wake-up and a hosted park share it.
+func (e *Engine) mayTakeNext(p *Proc, t Time) bool {
+	return e.running && e.current == p && !e.stopped && e.perr == nil &&
+		t <= e.limit && (e.intrCheck == nil || e.intrLeft > 1)
+}
+
+// takeTick charges a firing taken in place one tick of the interrupt
+// countdown, as the run loop's poll would have.
+func (e *Engine) takeTick() {
+	if e.intrCheck != nil {
+		e.intrLeft--
+	}
 }
 
 // park yields control back to the engine and blocks until dispatched again.
+// A process that may host yields through hostedYield. park stays this small
+// so that it and Cond.Wait inline into their callers: with deeper frames
+// at every park, short-lived processes grew their coroutine stacks about
+// three times as often.
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
+}
+
+// grantHost lets p host its parks: park then calls hostedYield.
+func (p *Proc) grantHost() {
+	if p.hostYield == nil {
+		p.hostYield = p.hostedYield
+	}
+	p.yield, p.host = p.hostYield, true
+}
+
+// hostedYield is park's yield while p may host: it runs the run loop on p's
+// coroutine (hostRun) and yields to the engine only if that did not reach
+// p's own wake-up.
+func (p *Proc) hostedYield(struct{}) bool {
+	return p.hostRun() || p.raw(struct{}{})
+}
+
+// hostRun is the run loop taken on the parking process's own coroutine. It
+// fires the queued callbacks in order for as long as mayTakeNext allows,
+// and reports true when the head is p's own dispatch, which it pops in
+// place of the round trip. It stops at any other process's dispatch, and
+// when it fired callbacks and still stops, p loses the right to host until
+// a dispatch grants it again.
+func (p *Proc) hostRun() bool {
+	e := p.eng
+	fired := false
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
+		if (ev.p != nil && ev.p != p) || !e.mayTakeNext(p, ev.t) {
+			break
+		}
+		e.removeEvent(0)
+		e.takeTick()
+		e.now = ev.t
+		fn := ev.fn
+		e.recycle(ev)
+		if fn == nil {
+			e.stats.Elided++
+			return true
+		}
+		fired = true
+		e.stats.Callbacks++
+		if !e.hostFire(fn) {
+			break
+		}
+	}
+	if fired {
+		p.yield, p.host = p.raw, false
+		// The engine was running at the first firing, so a hosted
+		// callback stopped it.
+		e.hostStopped = e.stopped
+	}
+	return false
+}
+
+// hostFire runs one hosted callback and reports whether it returned. A
+// panic is kept for dispatch to re-raise, so that it is never taken for a
+// panic of the hosting process.
+func (e *Engine) hostFire(fn func()) (ok bool) {
+	defer func() {
+		if !ok {
+			e.hostPanic = recover()
+		}
+	}()
+	fn()
+	return true
 }
 
 // kill unwinds a parked process, or retires one that was never dispatched.
@@ -510,7 +652,7 @@ func (p *Proc) kill() {
 
 // release drops the coroutine of a finished or killed process.
 func (p *Proc) release() {
-	p.next, p.stop, p.yield = nil, nil, nil
+	p.next, p.stop, p.yield, p.raw, p.hostYield = nil, nil, nil, nil, nil
 	p.eng.live--
 }
 
@@ -523,7 +665,8 @@ func (p *Proc) release() {
 // event or switching coroutines. It consumes the sequence number and the
 // interrupt countdown tick that event would have, so event order, every
 // later event's seq and the interrupt cadence are exactly those of the
-// round trip. Step never elides.
+// round trip. The rules are mayTakeNext's, which a hosted park follows too.
+// Step never elides.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -532,15 +675,9 @@ func (p *Proc) Sleep(d Duration) {
 	t := e.now + d
 	// A NaN t fails the limit test and an infinite one the IsInf test, so
 	// both reach newEvent and panic there. An equal-time queue head has the
-	// smaller seq and fires first, hence the strict comparison. With the
-	// interrupt countdown at its last tick the run loop must make the poll.
-	if e.running && e.current == p && !e.stopped && e.perr == nil &&
-		t <= e.limit && !math.IsInf(t, 0) &&
-		(len(e.queue) == 0 || t < e.queue[0].t) &&
-		(e.intrCheck == nil || e.intrLeft > 1) {
-		if e.intrCheck != nil {
-			e.intrLeft--
-		}
+	// smaller seq and fires first, hence the strict comparison.
+	if e.mayTakeNext(p, t) && !math.IsInf(t, 0) && (len(e.queue) == 0 || t < e.queue[0].t) {
+		e.takeTick()
 		e.seq++
 		e.now = t
 		e.stats.Elided++
@@ -549,10 +686,6 @@ func (p *Proc) Sleep(d Duration) {
 	e.scheduleProc(t, p)
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // block parks the process until someone calls unblock(p). It is the
 // low-level primitive behind Cond and other synchronization types.

@@ -136,7 +136,7 @@ func TestCondFIFO(t *testing.T) {
 	}
 	e.Go("signaler", func(p *Proc) {
 		for ready < 3 {
-			p.Yield()
+			p.Sleep(0)
 		}
 		c.Signal(e)
 		p.Sleep(1)

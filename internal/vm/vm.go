@@ -71,9 +71,6 @@ func NewMemory(size, pageSize int64) *Memory {
 	}
 }
 
-// Groups returns the number of page groups.
-func (m *Memory) Groups() int { return m.groups }
-
 // Alloc reserves a region of the given byte size from the sequential
 // allocator (used to lay out OS footprint, page cache, and app working
 // sets). The region is marked non-zero immediately if touch is true.
