@@ -141,7 +141,26 @@ func (w *AsyncWR) Run(p *sim.Proc, g *guest.Guest) {
 	reg := g.VM.Mem.Alloc(w.P.WorkingSet, true)
 	dirt := g.VM.Mem.NewDirtier(reg, w.P.MemoryDirtyRate)
 
-	writer := sim.NewSemaphore(1) // double buffering: one write in flight
+	// Double buffering: one write in flight, taken by one writer process per
+	// run. The first hand-off spawns it and each later one wakes it, which
+	// queues one event where a spawn would have, so event order and sequence
+	// numbers are those of a fresh process per write; the writer stays parked
+	// for Shutdown, as the guest's writeback loop does.
+	writer := sim.NewSemaphore(1)
+	var kick sim.Cond
+	next := int64(-1) // offset of the buffer handed off, -1 while none
+	write := func(wp *sim.Proc) {
+		for {
+			for next < 0 {
+				kick.Wait(wp)
+			}
+			off := next
+			next = -1
+			g.FS.Write(wp, f, off, w.P.DataPerIter)
+			w.Report.WriteBytes += float64(w.P.DataPerIter)
+			writer.Release(eng)
+		}
+	}
 	for it := 0; it < w.P.Iterations; it++ {
 		if w.Deadline > 0 && p.Now() >= w.Deadline {
 			break
@@ -157,12 +176,12 @@ func (w *AsyncWR) Run(p *sim.Proc, g *guest.Guest) {
 		// Hand the buffer to the asynchronous writer; block only if the
 		// previous write has not finished (backpressure).
 		writer.Acquire(p)
-		off := int64(it) * w.P.DataPerIter
-		eng.Go(fmt.Sprintf("%s/asyncwr-io", g.VM.Name), func(wp *sim.Proc) {
-			g.FS.Write(wp, f, off, w.P.DataPerIter)
-			w.Report.WriteBytes += float64(w.P.DataPerIter)
-			writer.Release(eng)
-		})
+		next = int64(it) * w.P.DataPerIter
+		if it == 0 {
+			eng.Go(g.VM.Name+"/asyncwr-io", write)
+		} else {
+			kick.Signal(eng)
+		}
 	}
 	writer.Acquire(p) // drain the last write
 	writer.Release(eng)

@@ -80,6 +80,38 @@ func TestAsyncWRCompletesAllIterations(t *testing.T) {
 	}
 }
 
+// TestAsyncWROneWriter: every write of a run goes through one writer
+// process, which stays parked once the run ends, so the processes left
+// after Drain are the idle guest's plus that one writer, whatever the
+// iteration count, and every buffer is still written.
+func TestAsyncWROneWriter(t *testing.T) {
+	live := func(iters int) (int, float64) {
+		tb := cluster.New(cluster.SmallConfig(4))
+		inst := tb.Launch("vm0", 0, cluster.OurApproach)
+		p := smallAsyncWR()
+		p.Iterations = iters
+		w := NewAsyncWR(p)
+		if iters > 0 {
+			tb.Eng.Go("awr", func(p *sim.Proc) { w.Run(p, inst.Guest) })
+		}
+		if err := tb.Eng.Drain(1e5); err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Eng.Shutdown()
+		return tb.Eng.LiveProcs(), w.Report.WriteBytes
+	}
+	idle, _ := live(0)
+	for _, iters := range []int{1, 5, 20} {
+		n, written := live(iters)
+		if n != idle+1 {
+			t.Errorf("%d iterations: %d live processes after Drain, want %d (the idle guest's plus one writer)", iters, n, idle+1)
+		}
+		if want := float64(iters) * mb; written != want {
+			t.Errorf("%d iterations: wrote %v bytes, want %v", iters, written, want)
+		}
+	}
+}
+
 func TestAsyncWRDeadlineStopsEarly(t *testing.T) {
 	tb := cluster.New(cluster.SmallConfig(4))
 	inst := tb.Launch("vm0", 0, cluster.OurApproach)
