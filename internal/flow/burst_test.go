@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/sim"
@@ -53,6 +54,51 @@ func TestStatsOneFillPerComponentPerInstant(t *testing.T) {
 	if got, want := n.Stats(), (Stats{Starts: 5, Flushes: 5, Fills: 5, Collected: 5}); got != want {
 		t.Fatalf("staggered starts: stats %+v, want %+v", got, want)
 	}
+	e.Stop()
+}
+
+// TestStatsBurstRetiredInOneRebuild: 40 equal loose flows and a rate group
+// of 8 equal members, all due at t=40 in a heap of 61 entries, retire in one
+// sweep that rebuilds the heap once (48·⌈log₂ 61⌉ ≥ 61), in activation
+// order; 20 flows that then finish one at a time rebuild nothing.
+func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
+	e := sim.New()
+	n := NewNet(e)
+	a, b, c := NewLink("a", 100), NewLink("b", 100), NewLink("c", 80)
+	var order []int
+	for i := 0; i < 48; i++ {
+		f := &Flow{Links: []*Link{a, b}, Size: 100} // 2.5 B/s: done at 40
+		if i%6 == 0 {
+			f = &Flow{Links: []*Link{c}, Size: 400} // 10 B/s: done at 40
+		}
+		f.OnDone = func() { order = append(order, i) }
+		n.Start(f)
+	}
+	for i := 0; i < 20; i++ {
+		n.Start(&Flow{Links: []*Link{NewLink("pad", 10)}, Size: 1000 + float64(i)})
+	}
+	if err := e.RunUntil(40); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 48 || !slices.IsSorted(order) {
+		t.Fatalf("completions at t=40 in order %v, want 0..47", order)
+	}
+	if len(c.group.members) != 0 {
+		t.Fatalf("%d group members left", len(c.group.members))
+	}
+	// One fill per component: {a, b}, c's group and the 20 pads.
+	want := Stats{Starts: 68, Flushes: 1, Fills: 22, Collected: 61, Retired: 48, Rebuilds: 1}
+	if got := n.Stats(); got != want {
+		t.Fatalf("after the burst: stats %+v, want %+v", got, want)
+	}
+	if err := e.RunUntil(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	want.Retired += 20
+	if got := n.Stats(); got != want {
+		t.Fatalf("after the pads: stats %+v, want %+v", got, want)
+	}
+	checkCompletionHeap(t, n)
 	e.Stop()
 }
 
@@ -170,10 +216,14 @@ func TestStartAtSweepInstantDefersNearlyDrained(t *testing.T) {
 // checks, after every step, the rates against the waterfilling oracle, the
 // completion-heap invariant and the component partition; after every burst
 // it also checks that the instant cost exactly one flush and at most one
-// fill per start. At the end, byte conservation.
-func runBurstSchedule(t *testing.T, data []byte) {
+// fill per start. At the end, byte conservation. It returns the run's log:
+// each completion as the flow's start index and the instant's bits, then
+// each link's and each tag's byte count as bits.
+func runBurstSchedule(t *testing.T, data []byte, oneByOne bool) [][2]uint64 {
 	e := sim.New()
 	n := NewNet(e)
+	n.oneByOne = oneByOne
+	var log [][2]uint64
 	links := []*Link{NewLink("l0", 100), NewLink("l1", 150), NewLink("l2", 80), NewLink("l3", 120), NewLink("l4", 60)}
 	var sizes, moved, completed float64
 	next := func() byte {
@@ -200,9 +250,12 @@ func runBurstSchedule(t *testing.T, data []byte) {
 				if sel&0x80 != 0 || len(f.Links) == 0 {
 					f.MaxRate = 5 + float64(sel%32)*3
 				}
-				sz := f.Size
+				sz, id := f.Size, uint64(n.Stats().Starts)
 				sizes += sz
-				f.OnDone = func() { completed += sz }
+				f.OnDone = func() {
+					completed += sz
+					log = append(log, [2]uint64{id, math.Float64bits(e.Now())})
+				}
 				n.Start(f)
 			}
 			if next()%2 == 0 {
@@ -245,13 +298,36 @@ func runBurstSchedule(t *testing.T, data []byte) {
 	if slack := float64(n.Stats().Starts)*epsBytes + 1e-9*math.Max(1, want); math.Abs(total-want) > slack {
 		t.Fatalf("byte conservation: tags carry %v, outcomes say %v (sizes %v)", total, want, sizes)
 	}
+	for _, l := range links {
+		log = append(log, [2]uint64{math.MaxUint64, math.Float64bits(l.Bytes())})
+	}
+	for _, tg := range Tags() {
+		log = append(log, [2]uint64{math.MaxUint64, math.Float64bits(n.BytesByTag(tg))})
+	}
 	e.Stop()
+	return log
 }
 
-// FuzzBurstStarts drives runBurstSchedule from fuzzer bytes. The seed
-// corpus is under testdata/fuzz/FuzzBurstStarts.
+// FuzzBurstStarts drives runBurstSchedule from fuzzer bytes, once with
+// batch retirement and once retiring one heap root at a time, and requires
+// the two logs to match bit for bit. The seed corpus is under
+// testdata/fuzz/FuzzBurstStarts; its equal-burst seeds retire co-due loose
+// flows and rate-group members through a heap rebuild.
 func FuzzBurstStarts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runBurstSchedule(t, data)
+		sameLog(t, "burst schedule", runBurstSchedule(t, data, false), runBurstSchedule(t, data, true))
 	})
+}
+
+// sameLog fails unless a batched run's log equals the one-at-a-time run's.
+func sameLog(t *testing.T, what string, batch, ref [][2]uint64) {
+	t.Helper()
+	for i := 0; i < min(len(batch), len(ref)); i++ {
+		if batch[i] != ref[i] {
+			t.Fatalf("%s: log entry %d is %v batched, %v one at a time", what, i, batch[i], ref[i])
+		}
+	}
+	if len(batch) != len(ref) {
+		t.Fatalf("%s: %d log entries batched, %d one at a time", what, len(batch), len(ref))
+	}
 }

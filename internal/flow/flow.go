@@ -44,9 +44,9 @@
 package flow
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/hybridmig/hybridmig/internal/sim"
@@ -379,6 +379,7 @@ type Net struct {
 	compGroups []*rateGroup
 	ordered    []*Link
 	done       []*Flow
+	sortBuf    []*Flow // radix scratch of sortDone
 
 	// reusable scratch for transparency-flip handling
 	flipped   []*Link
@@ -402,6 +403,9 @@ type Net struct {
 	// unlistHook, when set, sees every removal from a loose list before it
 	// happens; tests replay the removals on a scan-and-swap model.
 	unlistHook func(l *Link, f *Flow)
+	// oneByOne, when set, makes sweeps retire one heap root at a time:
+	// tests hold retireDue to that reference.
+	oneByOne bool
 }
 
 // compSpan delimits one component collected by reflow: its entries start
@@ -419,6 +423,8 @@ type Stats struct {
 	Flushes   uint64 // per-instant flushes of deferred starts
 	Fills     uint64 // progressive fills over a collected component
 	Collected uint64 // loose flows plus rate groups filled, over all fills
+	Retired   uint64 // flows retired by completion sweeps
+	Rebuilds  uint64 // sweeps that re-heapified the completion heap
 }
 
 // NewNet returns a flow network bound to the engine.
@@ -587,12 +593,8 @@ func (n *Net) insertMember(g *rateGroup, f *Flow) {
 	}
 }
 
-// popMember removes a flow from the group's member heap and, if it was the
-// representative, retires its completion-heap entry and promotes the next
-// member. f.group is left set so callers can still identify the home link;
-// they clear or reuse it.
-func (n *Net) popMember(g *rateGroup, f *Flow) {
-	wasRep := g.members[0] == f
+// remove takes a flow out of the member heap alone.
+func (g *rateGroup) remove(f *Flow) {
 	i := int(f.gIdx)
 	last := len(g.members) - 1
 	if i != last {
@@ -605,6 +607,15 @@ func (n *Net) popMember(g *rateGroup, f *Flow) {
 		g.gUp(i)
 	}
 	f.gIdx = -1
+}
+
+// popMember removes a flow from the group's member heap and, if it was the
+// representative, retires its completion-heap entry and promotes the next
+// member. f.group is left set so callers can still identify the home link;
+// they clear or reuse it.
+func (n *Net) popMember(g *rateGroup, f *Flow) {
+	wasRep := g.members[0] == f
+	g.remove(f)
 	if wasRep {
 		if f.heapIdx >= 0 {
 			n.heapRemove(f)
@@ -1542,6 +1553,9 @@ func (n *Net) completionSweep() {
 	now := n.eng.Now()
 	n.lastEvent = now
 	n.done = n.done[:0]
+	if !n.oneByOne {
+		n.retireDue(now + minStep)
+	}
 	for len(n.compHeap) > 0 {
 		f := n.compHeap[0]
 		due := f.compT <= now+minStep
@@ -1565,13 +1579,14 @@ func (n *Net) completionSweep() {
 		n.done = append(n.done, f)
 	}
 	if len(n.done) > 0 {
+		n.stats.Retired += uint64(len(n.done))
 		// Finish in activation (seq) order. The flow table's index order is
 		// perturbed by swap-removal of unrelated flows, so it is not stable
 		// across Nets holding different flow populations; activation order
 		// is, which keeps a component's completion callbacks in the same
 		// relative order whether it shares the Net with other components
 		// (serial kernel) or owns it alone (sharded kernel).
-		slices.SortFunc(n.done, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
+		n.sortDone()
 		for _, f := range n.done {
 			n.settle(f, now)
 		}
@@ -1592,6 +1607,123 @@ func (n *Net) completionSweep() {
 	for _, f := range n.done {
 		n.finish(f)
 	}
+}
+
+// retireDue moves into n.done every flow projected to complete by t: the
+// completion-heap entries with compT <= t, which form a subtree at the root,
+// and after each retired group representative the members that popMember
+// would promote with a compT <= t. Keys (compT, seq) are unique and a
+// promoted member never precedes its representative, so these are exactly
+// the flows that popping the root while compT <= t retires, and the heap
+// left behind holds the same entries under the same keys: the sweep's
+// settle-and-epsilon loop goes on from the same root. k retirements rebuild
+// the heap in O(n) when k root removals would cost more, k·⌈log₂ n⌉ ≥ n.
+func (n *Net) retireDue(t sim.Time) {
+	h := n.compHeap
+	if len(h) == 0 || h[0].compT > t {
+		return
+	}
+	// Breadth first through the due subtree, with n.done as the queue.
+	n.done = append(n.done, h[0])
+	for i := 0; i < len(n.done); i++ {
+		c := 2*int(n.done[i].heapIdx) + 1
+		for j := c; j < c+2 && j < len(h); j++ {
+			if h[j].compT <= t {
+				n.done = append(n.done, h[j])
+			}
+		}
+	}
+	k := len(n.done)
+	for _, f := range n.done[:k] {
+		g := f.group
+		if g == nil {
+			continue
+		}
+		// f.group stays set for deactivate's list bookkeeping.
+		g.remove(f)
+		for len(g.members) > 0 {
+			m := g.members[0]
+			m.compT = g.timeFor(m.finishP)
+			if m.compT > t {
+				break
+			}
+			g.remove(m)
+			n.done = append(n.done, m)
+		}
+	}
+	if len(n.done)*bits.Len(uint(len(h)-1)) < len(h) {
+		for _, f := range n.done[:k] {
+			n.heapRemove(f)
+			if g := f.group; g != nil && len(g.members) > 0 {
+				n.heapPush(g.members[0])
+			}
+		}
+		return
+	}
+	n.stats.Rebuilds++
+	for _, f := range n.done[:k] {
+		f.heapIdx = -1
+	}
+	kept := h[:0]
+	for _, f := range h {
+		if f.heapIdx >= 0 {
+			kept = append(kept, f)
+		}
+	}
+	clear(h[len(kept):])
+	for _, f := range n.done[:k] {
+		if g := f.group; g != nil && len(g.members) > 0 {
+			kept = append(kept, g.members[0])
+		}
+	}
+	for i, f := range kept {
+		f.heapIdx = int32(i)
+	}
+	n.compHeap = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		n.heapDown(i)
+	}
+}
+
+// radixMin is the batch length from which sortDone orders by radix: below
+// it an insertion sort is cheaper than the radix passes' counter tables.
+const radixMin = 32
+
+// sortDone orders the sweep's batch by activation seq. A long batch takes
+// an LSD radix sort on seq - min, linear in its length: a comparison sort
+// of a burst's hundreds of flows cost as much as the heap removals the
+// batch saves.
+func (n *Net) sortDone() {
+	d := n.done
+	if len(d) < radixMin {
+		for i := 1; i < len(d); i++ {
+			for j := i; j > 0 && d[j].seq < d[j-1].seq; j-- {
+				d[j], d[j-1] = d[j-1], d[j]
+			}
+		}
+		return
+	}
+	lo, hi := d[0].seq, d[0].seq
+	for _, f := range d[1:] {
+		lo, hi = min(lo, f.seq), max(hi, f.seq)
+	}
+	buf := slices.Grow(n.sortBuf[:0], len(d))[:len(d)]
+	for shift := 0; shift < bits.Len64(hi-lo); shift += 8 {
+		var at [257]int
+		for _, f := range d {
+			at[(f.seq-lo)>>shift&0xff+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		for _, f := range d {
+			b := (f.seq - lo) >> shift & 0xff
+			buf[at[b]] = f
+			at[b]++
+		}
+		d, buf = buf, d
+	}
+	n.done, n.sortBuf = d, buf[:0]
 }
 
 // Completion heap: an indexed binary min-heap of active flows keyed by

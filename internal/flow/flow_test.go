@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -572,60 +573,121 @@ func checkCompletionHeap(t *testing.T, n *Net) {
 // sharing links, many of them capped loose flows (a cap keeps a flow out of
 // any rate group, so one fill re-keys most of the heap at once), against a
 // disjoint background population — and asserts the heap invariant after
-// every operation. This pins the repair in recomputeComponent: each changed
-// key is fixed immediately, which is only sound if it is fixed before the
-// next one changes.
+// every event. This pins the repair in recomputeComponent: each changed key
+// is fixed immediately, which is only sound if it is fixed before the next
+// one changes. Bursts of equal flows, loose on two shared links or members
+// of one rate group, each with a few stragglers a fraction of epsBytes
+// longer, come due together and drive the sweep's batch retirement and its
+// heap rebuild; each schedule is run again retiring one root at a time, and
+// both runs must fire the same completions at the same instants and leave
+// bit-identical link and tag byte counts.
 func TestCompletionHeapInvariantProperty(t *testing.T) {
+	var rebuilds, retired uint64
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := sim.New()
-		n := NewNet(e)
-		// Disjoint background flows padding the heap.
-		for i := 0; i < 12; i++ {
-			l := NewLink("bg", 50+rng.Float64()*100)
-			n.Start(&Flow{Links: []*Link{l}, Size: 1e7 + rng.Float64()*1e9})
-		}
-		shared := []*Link{NewLink("s1", 120), NewLink("s2", 80)}
-		// Caps straddle the shared links' fair shares, so every reshare
-		// moves the keys of the flows capped above the new share.
-		capRate := func() float64 { return 2 + rng.Float64()*60 }
-		var live []*Flow
-		for i := 0; i < 16; i++ {
-			fl := &Flow{Links: []*Link{shared[i%2]}, Size: 1e6 + rng.Float64()*1e8, MaxRate: capRate()}
-			n.Start(fl)
-			live = append(live, fl)
-		}
-		checkCompletionHeap(t, n)
-		for op := 0; op < 60; op++ {
-			if err := e.RunUntil(e.Now() + rng.Float64()*0.5); err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(3) > 0 || len(live) == 0 {
-				fl := &Flow{
-					Links: []*Link{shared[rng.Intn(2)]},
-					Size:  1e5 + rng.Float64()*1e8,
-				}
-				if rng.Intn(4) == 0 {
-					fl.Links = append(fl.Links, shared[rng.Intn(2)])
-				}
-				if rng.Intn(2) == 0 {
-					fl.MaxRate = capRate()
-				}
-				n.Start(fl)
-				live = append(live, fl)
-			} else {
-				i := rng.Intn(len(live))
-				n.Cancel(live[i])
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			}
-			checkCompletionHeap(t, n)
-		}
-		e.Stop()
-		e.Shutdown()
+		batch, st := runHeapSchedule(t, seed, false)
+		ref, _ := runHeapSchedule(t, seed, true)
+		sameLog(t, fmt.Sprintf("seed %d", seed), batch, ref)
+		rebuilds += st.Rebuilds
+		retired += st.Retired
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	if rebuilds == 0 || retired == 0 {
+		t.Fatalf("%d flows retired in %d rebuilds: the schedules missed the batch path", retired, rebuilds)
+	}
+}
+
+// runHeapSchedule runs TestCompletionHeapInvariantProperty's schedule for
+// one seed and returns its log: each completion as the flow's start index
+// and the instant's bits, then, after every step, each link's and each
+// tag's byte count as bits.
+func runHeapSchedule(t *testing.T, seed int64, oneByOne bool) ([][2]uint64, Stats) {
+	rng := rand.New(rand.NewSource(seed))
+	e := sim.New()
+	n := NewNet(e)
+	n.oneByOne = oneByOne
+	var log [][2]uint64
+	var links []*Link
+	started := uint64(0)
+	start := func(fl *Flow) {
+		id := started
+		started++
+		fl.OnDone = func() { log = append(log, [2]uint64{id, math.Float64bits(e.Now())}) }
+		n.Start(fl)
+	}
+	newLink := func(name string, c float64) *Link {
+		l := NewLink(name, c)
+		links = append(links, l)
+		return l
+	}
+	// Disjoint background flows padding the heap.
+	for i := 0; i < 12; i++ {
+		l := newLink("bg", 50+rng.Float64()*100)
+		start(&Flow{Links: []*Link{l}, Size: 1e7 + rng.Float64()*1e9})
+	}
+	shared := []*Link{newLink("s1", 120), newLink("s2", 80)}
+	hub := newLink("hub", 100)
+	// Caps straddle the shared links' fair shares, so every reshare
+	// moves the keys of the flows capped above the new share.
+	capRate := func() float64 { return 2 + rng.Float64()*60 }
+	var live []*Flow
+	for i := 0; i < 16; i++ {
+		fl := &Flow{Links: []*Link{shared[i%2]}, Size: 1e6 + rng.Float64()*1e8, MaxRate: capRate()}
+		start(fl)
+		live = append(live, fl)
+	}
+	checkCompletionHeap(t, n)
+	for op := 0; op < 60; op++ {
+		fired := false
+		e.After(rng.Float64()*2, func() { fired = true })
+		for !fired && e.Step() {
+			checkCompletionHeap(t, n)
+		}
+		switch k := rng.Intn(6); {
+		case k < 2 || len(live) == 0:
+			fl := &Flow{
+				Links: []*Link{shared[rng.Intn(2)]},
+				Size:  1e5 + rng.Float64()*1e8,
+			}
+			if rng.Intn(4) == 0 {
+				fl.Links = append(fl.Links, shared[rng.Intn(2)])
+			}
+			if rng.Intn(2) == 0 {
+				fl.MaxRate = capRate()
+			}
+			start(fl)
+			live = append(live, fl)
+		case k < 3:
+			i := rng.Intn(len(live))
+			n.Cancel(live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default: // a burst of equal flows with a few stragglers
+			path := shared
+			if k == 5 {
+				path = []*Link{hub} // one rate group
+			}
+			size := 1 + rng.Float64()*20
+			for i, m := 0, 2+rng.Intn(47); i < m; i++ {
+				sz := size
+				if i%16 == 15 {
+					sz += epsBytes / 2
+				}
+				start(&Flow{Links: path, Size: sz})
+			}
+		}
+		checkCompletionHeap(t, n)
+		for _, l := range links {
+			log = append(log, [2]uint64{math.MaxUint64, math.Float64bits(l.Bytes())})
+		}
+		for _, tg := range Tags() {
+			log = append(log, [2]uint64{math.MaxUint64, math.Float64bits(n.BytesByTag(tg))})
+		}
+	}
+	st := n.Stats()
+	e.Stop()
+	e.Shutdown()
+	return log, st
 }

@@ -217,3 +217,64 @@ func TestGroupFillMatchesWaterfilling(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupRebaseMatchesWaterfilling drives a rate group's progress past
+// groupRebaseP: one member runs alone on a 1 GB/s hub for 1,500 s, then a
+// burst of 40 equal members joins, and the burst's fill rebases the group
+// (finishP and pAnchor shift back toward zero). The burst then completes in
+// one sweep that retires the co-due members as a batch. Rates are checked
+// against the waterfilling oracle after every event, and the run must match
+// one that retires one root at a time: the same completions at the same
+// instants and bit-identical byte counts.
+func TestGroupRebaseMatchesWaterfilling(t *testing.T) {
+	run := func(oneByOne bool) ([]float64, Stats) {
+		e := sim.New()
+		n := NewNet(e)
+		n.oneByOne = oneByOne
+		hub := NewLink("hub", 1e9)
+		var log []float64
+		done := func() { log = append(log, e.Now()) }
+		n.Start(&Flow{Links: []*Link{hub}, Size: 3e12, OnDone: done})
+		// A capped loose flow shares the hub, so the group's rate is the
+		// hub's residual share.
+		n.Start(&Flow{Links: []*Link{hub}, Size: 1e13, MaxRate: 1e8, OnDone: done})
+		e.At(1500, func() {
+			g := hub.group
+			if g.pAnchor != 0 || g.rate != 9e8 {
+				t.Fatalf("before the burst: pAnchor %v rate %v, want 0 and 9e8", g.pAnchor, g.rate)
+			}
+			for i := 0; i < 40; i++ {
+				n.Start(&Flow{Links: []*Link{hub}, Size: 1e9, OnDone: done})
+			}
+			checkRates(t, n, "burst")
+			if g.pAnchor != 0 || g.members[0].finishP >= groupRebaseP {
+				t.Fatalf("after the burst: pAnchor %v, representative finishP %v: no rebase",
+					g.pAnchor, g.members[0].finishP)
+			}
+		})
+		for e.Step() {
+			checkRates(t, n, fmt.Sprintf("t=%v", e.Now()))
+			checkCompletionHeap(t, n)
+		}
+		log = append(log, hub.Bytes(), n.BytesByTag(TagOther))
+		return log, n.Stats()
+	}
+	batch, st := run(false)
+	ref, _ := run(true)
+	if len(batch) != 44 || len(ref) != len(batch) {
+		t.Fatalf("%d completions and byte counts batched, %d one at a time, want 44", len(batch), len(ref))
+	}
+	for i := range batch {
+		if math.Float64bits(batch[i]) != math.Float64bits(ref[i]) {
+			t.Fatalf("entry %d: %v batched, %v one at a time", i, batch[i], ref[i])
+		}
+	}
+	for i := 1; i < 40; i++ {
+		if batch[i] != batch[0] {
+			t.Fatalf("burst completion %d at %v, want the first one's %v", i, batch[i], batch[0])
+		}
+	}
+	if st.Retired != 42 {
+		t.Fatalf("%d flows retired, want 42", st.Retired)
+	}
+}
