@@ -1686,8 +1686,10 @@ func (n *Net) retireDue(t sim.Time) {
 }
 
 // radixMin is the batch length from which sortDone orders by radix: below
-// it an insertion sort is cheaper than the radix passes' counter tables.
-const radixMin = 32
+// it an insertion sort is cheaper than the radix passes' counter tables
+// (on shuffled seqs 20,000 apart, 1.9 µs against 2.1 µs at 48 flows and
+// 3.1 µs against 2.1 µs at 64).
+const radixMin = 64
 
 // sortDone orders the sweep's batch by activation seq. A long batch takes
 // an LSD radix sort on seq - min, linear in its length: a comparison sort
