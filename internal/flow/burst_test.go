@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -57,19 +58,19 @@ func TestStatsOneFillPerComponentPerInstant(t *testing.T) {
 	e.Stop()
 }
 
-// TestStatsBurstRetiredInOneRebuild: 40 equal loose flows and a rate group
-// of 8 equal members, all due at t=40 in a heap of 61 entries, retire in one
-// sweep that rebuilds the heap once (48·⌈log₂ 61⌉ ≥ 61), in activation
+// TestStatsBurstRetiredInOneRebuild: 80 equal loose flows and a rate group
+// of 16 equal members, all due at t=80 in a heap of 101 entries, retire in
+// one sweep that rebuilds the heap once (96·⌈log₂ 101⌉ ≥ 101), in activation
 // order; 20 flows that then finish one at a time rebuild nothing.
 func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	e := sim.New()
 	n := NewNet(e)
 	a, b, c := NewLink("a", 100), NewLink("b", 100), NewLink("c", 80)
 	var order []int
-	for i := 0; i < 48; i++ {
-		f := &Flow{Links: []*Link{a, b}, Size: 100} // 2.5 B/s: done at 40
+	for i := 0; i < 96; i++ {
+		f := &Flow{Links: []*Link{a, b}, Size: 100} // 1.25 B/s: done at 80
 		if i%6 == 0 {
-			f = &Flow{Links: []*Link{c}, Size: 400} // 10 B/s: done at 40
+			f = &Flow{Links: []*Link{c}, Size: 400} // 5 B/s: done at 80
 		}
 		f.OnDone = func() { order = append(order, i) }
 		n.Start(f)
@@ -77,17 +78,17 @@ func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Start(&Flow{Links: []*Link{NewLink("pad", 10)}, Size: 1000 + float64(i)})
 	}
-	if err := e.RunUntil(40); err != nil {
+	if err := e.RunUntil(80); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 48 || !slices.IsSorted(order) {
-		t.Fatalf("completions at t=40 in order %v, want 0..47", order)
+	if len(order) != 96 || !slices.IsSorted(order) {
+		t.Fatalf("completions at t=80 in order %v, want 0..95", order)
 	}
 	if len(c.group.members) != 0 {
 		t.Fatalf("%d group members left", len(c.group.members))
 	}
 	// One fill per component: {a, b}, c's group and the 20 pads.
-	want := Stats{Starts: 68, Flushes: 1, Fills: 22, Collected: 61, Retired: 48, Rebuilds: 1}
+	want := Stats{Starts: 116, Flushes: 1, Fills: 22, Collected: 101, Retired: 96, Rebuilds: 1}
 	if got := n.Stats(); got != want {
 		t.Fatalf("after the burst: stats %+v, want %+v", got, want)
 	}
@@ -100,6 +101,38 @@ func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	}
 	checkCompletionHeap(t, n)
 	e.Stop()
+}
+
+// TestSortDone: a sweep's batch comes out in seq order whatever its length
+// and seq spread, through the insertion sort and through one to seven radix
+// passes, and sortDone's two buffers stay distinct.
+func TestSortDone(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	n := &Net{}
+	for _, k := range []int{0, 1, 2, radixMin - 1, radixMin, 457} {
+		for _, spread := range []uint64{1, 1 << 8, 1 << 16, 1 << 30, 1 << 40} {
+			base := rng.Uint64() >> 20
+			var want []uint64
+			n.done = n.done[:0]
+			for _, i := range rng.Perm(k) {
+				seq := base + uint64(i)*spread + uint64(rng.Intn(int(min(spread, 1<<20))))
+				n.done = append(n.done, &Flow{seq: seq})
+				want = append(want, seq)
+			}
+			slices.Sort(want)
+			n.sortDone()
+			got := make([]uint64, len(n.done))
+			for i, f := range n.done {
+				got[i] = f.seq
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d flows %d apart: sorted %v, want %v", k, spread, got, want)
+			}
+			if k > 0 && cap(n.sortBuf) > 0 && &n.sortBuf[:1][0] == &n.done[0] {
+				t.Fatalf("%d flows %d apart: the batch and the radix scratch share storage", k, spread)
+			}
+		}
+	}
 }
 
 // TestReadsFlushPendingStarts: every read and every mutation made at the

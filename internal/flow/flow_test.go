@@ -670,7 +670,7 @@ func runHeapSchedule(t *testing.T, seed int64, oneByOne bool) ([][2]uint64, Stat
 				path = []*Link{hub} // one rate group
 			}
 			size := 1 + rng.Float64()*20
-			for i, m := 0, 2+rng.Intn(47); i < m; i++ {
+			for i, m := 0, 2+rng.Intn(95); i < m; i++ {
 				sz := size
 				if i%16 == 15 {
 					sz += epsBytes / 2
