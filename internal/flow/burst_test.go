@@ -60,7 +60,8 @@ func TestStatsOneFillPerComponentPerInstant(t *testing.T) {
 
 // TestStatsBurstRetiredInOneRebuild: 80 equal loose flows and a rate group
 // of 16 equal members, all due at t=80 in a heap of 101 entries, retire in
-// one sweep that rebuilds the heap once (96·⌈log₂ 101⌉ ≥ 101), in activation
+// one sweep that rebuilds the heap once (the 80 loose flows and the group's
+// representative are 81 heap entries, 81·⌈log₂ 101⌉ ≥ 101), in activation
 // order; 20 flows that then finish one at a time rebuild nothing.
 func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	e := sim.New()
@@ -98,6 +99,34 @@ func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	want.Retired += 20
 	if got := n.Stats(); got != want {
 		t.Fatalf("after the pads: stats %+v, want %+v", got, want)
+	}
+	checkCompletionHeap(t, n)
+	e.Stop()
+}
+
+// TestStatsGroupBurstNoRebuild: a rate group's 40 equal members retire in
+// one sweep, but they hold a single entry of a 21-entry completion heap
+// (1·⌈log₂ 21⌉ < 21), so the sweep pops them through popMember and
+// rebuilds nothing.
+func TestStatsGroupBurstNoRebuild(t *testing.T) {
+	e := sim.New()
+	n := NewNet(e)
+	c := NewLink("c", 40)
+	var order []int
+	for i := 0; i < 40; i++ {
+		n.Start(&Flow{Links: []*Link{c}, Size: 80, OnDone: func() { order = append(order, i) }}) // 1 B/s: done at 80
+	}
+	for i := 0; i < 20; i++ {
+		n.Start(&Flow{Links: []*Link{NewLink("pad", 10)}, Size: 1000 + float64(i)})
+	}
+	if err := e.RunUntil(80); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 40 || !slices.IsSorted(order) {
+		t.Fatalf("completions at t=80 in order %v, want 0..39", order)
+	}
+	if got := n.Stats(); got.Retired != 40 || got.Rebuilds != 0 {
+		t.Fatalf("after the burst: %d retired in %d rebuilds, want 40 in 0", got.Retired, got.Rebuilds)
 	}
 	checkCompletionHeap(t, n)
 	e.Stop()
@@ -345,7 +374,8 @@ func runBurstSchedule(t *testing.T, data []byte, oneByOne bool) [][2]uint64 {
 // batch retirement and once retiring one heap root at a time, and requires
 // the two logs to match bit for bit. The seed corpus is under
 // testdata/fuzz/FuzzBurstStarts; its equal-burst seeds retire co-due loose
-// flows and rate-group members through a heap rebuild.
+// flows, and the representatives of four co-due rate groups with the
+// members behind them, through a heap rebuild.
 func FuzzBurstStarts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameLog(t, "burst schedule", runBurstSchedule(t, data, false), runBurstSchedule(t, data, true))

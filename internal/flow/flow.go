@@ -1609,15 +1609,17 @@ func (n *Net) completionSweep() {
 	}
 }
 
-// retireDue moves into n.done every flow projected to complete by t: the
-// completion-heap entries with compT <= t, which form a subtree at the root,
-// and after each retired group representative the members that popMember
-// would promote with a compT <= t. Keys (compT, seq) are unique and a
-// promoted member never precedes its representative, so these are exactly
-// the flows that popping the root while compT <= t retires, and the heap
-// left behind holds the same entries under the same keys: the sweep's
-// settle-and-epsilon loop goes on from the same root. k retirements rebuild
-// the heap in O(n) when k root removals would cost more, k·⌈log₂ n⌉ ≥ n.
+// retireDue moves into n.done every flow projected to complete by t, when
+// that is cheaper than popping them one root at a time: the k
+// completion-heap entries with compT <= t form a subtree at the root, and
+// when k·⌈log₂ n⌉ ≥ n it drops them and re-heapifies once in O(n). Below
+// that it leaves n.done empty, so the sweep's loop pops them as before.
+// After each retired group representative it also takes the members that
+// popMember would promote with a compT <= t. Keys (compT, seq) are unique
+// and a promoted member never precedes its representative, so these are
+// exactly the flows that popping the root while compT <= t retires, and the
+// heap left behind holds the same entries under the same keys: the sweep's
+// settle-and-epsilon loop goes on from the same root.
 func (n *Net) retireDue(t sim.Time) {
 	h := n.compHeap
 	if len(h) == 0 || h[0].compT > t {
@@ -1634,7 +1636,13 @@ func (n *Net) retireDue(t sim.Time) {
 		}
 	}
 	k := len(n.done)
+	if k*bits.Len(uint(len(h)-1)) < len(h) {
+		n.done = n.done[:0]
+		return
+	}
+	n.stats.Rebuilds++
 	for _, f := range n.done[:k] {
+		f.heapIdx = -1
 		g := f.group
 		if g == nil {
 			continue
@@ -1650,19 +1658,6 @@ func (n *Net) retireDue(t sim.Time) {
 			g.remove(m)
 			n.done = append(n.done, m)
 		}
-	}
-	if len(n.done)*bits.Len(uint(len(h)-1)) < len(h) {
-		for _, f := range n.done[:k] {
-			n.heapRemove(f)
-			if g := f.group; g != nil && len(g.members) > 0 {
-				n.heapPush(g.members[0])
-			}
-		}
-		return
-	}
-	n.stats.Rebuilds++
-	for _, f := range n.done[:k] {
-		f.heapIdx = -1
 	}
 	kept := h[:0]
 	for _, f := range h {

@@ -575,9 +575,9 @@ func checkCompletionHeap(t *testing.T, n *Net) {
 // disjoint background population — and asserts the heap invariant after
 // every event. This pins the repair in recomputeComponent: each changed key
 // is fixed immediately, which is only sound if it is fixed before the next
-// one changes. Bursts of equal flows, loose on two shared links or members
-// of one rate group, each with a few stragglers a fraction of epsBytes
-// longer, come due together and drive the sweep's batch retirement and its
+// one changes. Bursts of equal flows, loose on two shared links or dealt
+// out to the members of up to 12 rate groups, each with a few stragglers a
+// fraction of epsBytes longer, come due together and drive the sweep's batch retirement and its
 // heap rebuild; each schedule is run again retiring one root at a time, and
 // both runs must fire the same completions at the same instants and leave
 // bit-identical link and tag byte counts.
@@ -594,6 +594,7 @@ func TestCompletionHeapInvariantProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d flows retired, %d sweeps rebuilt", retired, rebuilds)
 	if rebuilds == 0 || retired == 0 {
 		t.Fatalf("%d flows retired in %d rebuilds: the schedules missed the batch path", retired, rebuilds)
 	}
@@ -628,7 +629,10 @@ func runHeapSchedule(t *testing.T, seed int64, oneByOne bool) ([][2]uint64, Stat
 		start(&Flow{Links: []*Link{l}, Size: 1e7 + rng.Float64()*1e9})
 	}
 	shared := []*Link{newLink("s1", 120), newLink("s2", 80)}
-	hub := newLink("hub", 100)
+	var hubs []*Link
+	for i := 0; i < 12; i++ {
+		hubs = append(hubs, newLink("hub", 100))
+	}
 	// Caps straddle the shared links' fair shares, so every reshare
 	// moves the keys of the flows capped above the new share.
 	capRate := func() float64 { return 2 + rng.Float64()*60 }
@@ -665,15 +669,22 @@ func runHeapSchedule(t *testing.T, seed int64, oneByOne bool) ([][2]uint64, Stat
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		default: // a burst of equal flows with a few stragglers
-			path := shared
+			// Loose on the shared links, or dealt out to the members of
+			// up to 12 rate groups, whose representatives come due
+			// together.
+			groups := 0
 			if k == 5 {
-				path = []*Link{hub} // one rate group
+				groups = 1 + rng.Intn(len(hubs))
 			}
 			size := 1 + rng.Float64()*20
 			for i, m := 0, 2+rng.Intn(95); i < m; i++ {
 				sz := size
 				if i%16 == 15 {
 					sz += epsBytes / 2
+				}
+				path := shared
+				if groups > 0 {
+					path = []*Link{hubs[i%groups]}
 				}
 				start(&Flow{Links: path, Size: sz})
 			}

@@ -218,63 +218,80 @@ func TestGroupFillMatchesWaterfilling(t *testing.T) {
 	}
 }
 
-// TestGroupRebaseMatchesWaterfilling drives a rate group's progress past
-// groupRebaseP: one member runs alone on a 1 GB/s hub for 1,500 s, then a
-// burst of 40 equal members joins, and the burst's fill rebases the group
-// (finishP and pAnchor shift back toward zero). The burst then completes in
-// one sweep that retires the co-due members as a batch. Rates are checked
-// against the waterfilling oracle after every event, and the run must match
-// one that retires one root at a time: the same completions at the same
-// instants and bit-identical byte counts.
+// TestGroupRebaseMatchesWaterfilling drives two rate groups' progress past
+// groupRebaseP: on each of two 1 GB/s hubs one member runs for 1,500 s,
+// then a burst of 40 equal members joins, and the burst's fill rebases the
+// group (finishP and pAnchor shift back toward zero). The two bursts then
+// complete in one sweep: their representatives are two due entries of a
+// four-entry completion heap (2·⌈log₂ 4⌉ ≥ 4), so the sweep rebuilds the
+// heap and retires the co-due members behind them as a batch. Rates are
+// checked against the waterfilling oracle after every event, and the run
+// must match one that retires one root at a time: the same completions at
+// the same instants and bit-identical byte counts.
 func TestGroupRebaseMatchesWaterfilling(t *testing.T) {
 	run := func(oneByOne bool) ([]float64, Stats) {
 		e := sim.New()
 		n := NewNet(e)
 		n.oneByOne = oneByOne
-		hub := NewLink("hub", 1e9)
+		hubs := []*Link{NewLink("hub0", 1e9), NewLink("hub1", 1e9)}
 		var log []float64
 		done := func() { log = append(log, e.Now()) }
-		n.Start(&Flow{Links: []*Link{hub}, Size: 3e12, OnDone: done})
-		// A capped loose flow shares the hub, so the group's rate is the
-		// hub's residual share.
-		n.Start(&Flow{Links: []*Link{hub}, Size: 1e13, MaxRate: 1e8, OnDone: done})
+		for _, hub := range hubs {
+			n.Start(&Flow{Links: []*Link{hub}, Size: 3e12, OnDone: done})
+			// A capped loose flow shares the hub, so the group's rate is
+			// the hub's residual share.
+			n.Start(&Flow{Links: []*Link{hub}, Size: 1e13, MaxRate: 1e8, OnDone: done})
+		}
 		e.At(1500, func() {
-			g := hub.group
-			if g.pAnchor != 0 || g.rate != 9e8 {
-				t.Fatalf("before the burst: pAnchor %v rate %v, want 0 and 9e8", g.pAnchor, g.rate)
-			}
-			for i := 0; i < 40; i++ {
-				n.Start(&Flow{Links: []*Link{hub}, Size: 1e9, OnDone: done})
+			for _, hub := range hubs {
+				g := hub.group
+				if g.pAnchor != 0 || g.rate != 9e8 {
+					t.Fatalf("before the burst: pAnchor %v rate %v, want 0 and 9e8", g.pAnchor, g.rate)
+				}
+				for i := 0; i < 40; i++ {
+					n.Start(&Flow{Links: []*Link{hub}, Size: 1e9, OnDone: done})
+				}
 			}
 			checkRates(t, n, "burst")
-			if g.pAnchor != 0 || g.members[0].finishP >= groupRebaseP {
-				t.Fatalf("after the burst: pAnchor %v, representative finishP %v: no rebase",
-					g.pAnchor, g.members[0].finishP)
+			for _, hub := range hubs {
+				if g := hub.group; g.pAnchor != 0 || g.members[0].finishP >= groupRebaseP {
+					t.Fatalf("after the burst: pAnchor %v, representative finishP %v: no rebase",
+						g.pAnchor, g.members[0].finishP)
+				}
+			}
+		})
+		e.At(1600, func() {
+			if st := n.Stats(); !oneByOne && (st.Retired != 80 || st.Rebuilds != 1) {
+				t.Fatalf("after the bursts: %d flows retired in %d rebuilds, want 80 in 1", st.Retired, st.Rebuilds)
 			}
 		})
 		for e.Step() {
 			checkRates(t, n, fmt.Sprintf("t=%v", e.Now()))
 			checkCompletionHeap(t, n)
 		}
-		log = append(log, hub.Bytes(), n.BytesByTag(TagOther))
+		for _, hub := range hubs {
+			log = append(log, hub.Bytes())
+		}
+		log = append(log, n.BytesByTag(TagOther))
 		return log, n.Stats()
 	}
 	batch, st := run(false)
 	ref, _ := run(true)
-	if len(batch) != 44 || len(ref) != len(batch) {
-		t.Fatalf("%d completions and byte counts batched, %d one at a time, want 44", len(batch), len(ref))
+	if len(batch) != 87 || len(ref) != len(batch) {
+		t.Fatalf("%d completions and byte counts batched, %d one at a time, want 87", len(batch), len(ref))
 	}
 	for i := range batch {
 		if math.Float64bits(batch[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("entry %d: %v batched, %v one at a time", i, batch[i], ref[i])
 		}
 	}
-	for i := 1; i < 40; i++ {
+	for i := 1; i < 80; i++ {
 		if batch[i] != batch[0] {
 			t.Fatalf("burst completion %d at %v, want the first one's %v", i, batch[i], batch[0])
 		}
 	}
-	if st.Retired != 42 {
-		t.Fatalf("%d flows retired, want 42", st.Retired)
+	// The bursts, then the two long members, then the two capped flows.
+	if st.Retired != 84 || st.Rebuilds != 3 {
+		t.Fatalf("%d flows retired in %d rebuilds, want 84 in 3", st.Retired, st.Rebuilds)
 	}
 }
