@@ -3,6 +3,7 @@ package hybridmig_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	hybridmig "github.com/hybridmig/hybridmig"
@@ -252,5 +253,65 @@ func TestPublicAPIObserver(t *testing.T) {
 	}
 	if !sawReq || !sawRound || !sawDone {
 		t.Fatalf("lifecycle incomplete: req=%v round=%v done=%v", sawReq, sawRound, sawDone)
+	}
+}
+
+// TestPublicAPIOptions runs the facade's configuration and fault options
+// end to end: the per-scale configurations, an AsyncWR guest under a link
+// degradation, background traffic and a retry budget with a seed capture
+// and periodic samples, and two preseeded migrations on the parallel
+// kernel.
+func TestPublicAPIOptions(t *testing.T) {
+	if got, want := hybridmig.SetupFor(hybridmig.ScalePaper, 4).Cluster, hybridmig.DefaultConfig(4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("paper-scale setup cluster %+v, want DefaultConfig %+v", got, want)
+	}
+	small := hybridmig.SmallConfig(4)
+	if got := hybridmig.SetupFor(hybridmig.ScaleSmall, 4).Cluster; !reflect.DeepEqual(got, small) {
+		t.Fatalf("small-scale setup cluster %+v, want SmallConfig %+v", got, small)
+	}
+
+	p := hybridmig.DefaultAsyncWRParams()
+	p.Iterations = 3
+	p.DataPerIter = 4 << 20
+	p.ComputeTime = 0.5
+	samples := 0
+	obs := hybridmig.ObserverFunc(func(e hybridmig.Event) {
+		if e.Kind == hybridmig.KindSample {
+			samples++
+		}
+	})
+	s := hybridmig.NewScenario(hybridmig.WithScale(hybridmig.ScaleSmall), hybridmig.WithConfig(small),
+		hybridmig.WithSeedCapture(), hybridmig.WithObserver(obs), hybridmig.WithSampleInterval(0.1),
+		hybridmig.WithFaults(hybridmig.FaultSpec{At: 0.5, Kind: hybridmig.FaultLinkDegrade, Node: 1, Factor: 0.5, Duration: 1}),
+		hybridmig.WithBackgroundTraffic(hybridmig.TrafficSpec{Src: 2, Dst: 1, Start: 0, Stop: 1, Rate: 1 << 20}),
+		hybridmig.WithRetry(hybridmig.RetrySpec{MaxAttempts: 2, Backoff: 0.1})).
+		AddVM(hybridmig.VMSpec{Name: "vm0", Node: 0, Approach: hybridmig.OurApproach,
+			Workload: hybridmig.AsyncWR(&p, 0)}).
+		MigrateAt("vm0", 1, 0.25)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.VM("vm0").Migrated || res.SeedCapture == "" || samples == 0 {
+		t.Fatalf("migrated=%t, %d-byte seed capture, %d samples", res.VM("vm0").Migrated, len(res.SeedCapture), samples)
+	}
+
+	s = hybridmig.NewScenario(hybridmig.WithNodes(4), hybridmig.WithPreseededImages(), hybridmig.WithParallel(2))
+	for i := 0; i < 2; i++ {
+		rw := hybridmig.DefaultRewriteParams()
+		rw.FileSize = 16 << 20
+		rw.Iterations = 1
+		name := fmt.Sprintf("vm%d", i)
+		s.AddVM(hybridmig.VMSpec{Name: name, Node: 2 * i, Approach: hybridmig.OurApproach,
+			Workload: hybridmig.Rewrite(&rw)}).
+			MigrateAt(name, 2*i+1, 1)
+	}
+	if res, err = s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if vm := res.VM(fmt.Sprintf("vm%d", i)); !vm.Migrated || vm.Node != 2*i+1 {
+			t.Fatalf("vm%d: migrated=%t on node %d", i, vm.Migrated, vm.Node)
+		}
 	}
 }

@@ -72,17 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Range is the positional extent of a syntax node (satisfied by ast.Node).
-type Range interface {
-	Pos() token.Pos
-	End() token.Pos
-}
-
-// ReportRangef reports a diagnostic over rng's full extent.
-func (p *Pass) ReportRangef(rng Range, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
-}
-
 // A Diagnostic is one finding: a position plus a message. Category defaults
 // to the analyzer name in driver output.
 type Diagnostic struct {

@@ -210,9 +210,6 @@ func NewSet(n int) *Set {
 	return &Set{dir: make([]page, (n+blockBits-1)>>blockShift), n: n}
 }
 
-// Len returns the number of chunks the set can hold.
-func (s *Set) Len() int { return s.n }
-
 // Count returns the number of chunks present.
 func (s *Set) Count() int { return s.pop }
 

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"container/heap"
 	"math/rand"
 	"slices"
 	"testing"
@@ -456,5 +457,56 @@ func TestPullQueueNilCounterIsFIFO(t *testing.T) {
 	}
 	if want := []Idx{3, 10, 11, 13, 14, 60, 61}; !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
+	}
+}
+
+// TestSetBoundsPanics: an index outside the set, a range with a bad bound,
+// or an empty interval where RunEnd needs a chunk, panics with a message
+// naming the offending value.
+func TestSetBoundsPanics(t *testing.T) {
+	s := NewSet(100)
+	for _, c := range []struct {
+		name string
+		do   func()
+		want string
+	}{
+		{"index", func() { s.Contains(100) }, "chunk: set index 100 out of [0,100)"},
+		{"range start", func() { s.AddRange(-1, 5) }, "chunk: set index -1 out of [0,100)"},
+		{"range end", func() { s.AddRange(5, 100) }, "chunk: set index 100 out of [0,100)"},
+		{"empty run", func() { s.RunEnd(7, 5) }, "chunk: empty interval [7, 5]"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				var msg string
+				switch v := r.(type) {
+				case error:
+					msg = v.Error()
+				case string:
+					msg = v
+				}
+				if msg != c.want {
+					t.Errorf("%s: panic %v, want %q", c.name, r, c.want)
+				}
+			}()
+			c.do()
+		}()
+	}
+}
+
+// TestPrioHeapPush: entries pushed one by one pop by count, highest
+// first, then by lower index.
+func TestPrioHeapPush(t *testing.T) {
+	var h prioHeap
+	for _, it := range []prioItem{{3, 1}, {1, 5}, {2, 5}, {0, 1}, {9, 2}} {
+		heap.Push(&h, it)
+	}
+	var got []prioItem
+	for h.Len() > 0 {
+		got = append(got, heap.Pop(&h).(prioItem))
+	}
+	want := []prioItem{{1, 5}, {2, 5}, {9, 2}, {0, 1}, {3, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("popped %v, want %v", got, want)
 	}
 }

@@ -171,9 +171,6 @@ func New(cfg Config) *Testbed {
 // Leases returns the testbed's shared-volume attachment manager.
 func (tb *Testbed) Leases() *lease.Manager { return tb.leases }
 
-// Geometry returns the image chunking.
-func (tb *Testbed) Geometry() chunk.Geometry { return tb.geo }
-
 // Instance is one deployed VM with its full stack.
 type Instance struct {
 	Name     string

@@ -754,3 +754,14 @@ func TestTrafficTagsSeparated(t *testing.T) {
 		t.Fatalf("unexpected mirror traffic %v", mirror)
 	}
 }
+
+// TestModeNames: each mode renders as its strategy name.
+func TestModeNames(t *testing.T) {
+	for m, want := range map[Mode]string{
+		ModeHybrid: "our-approach", ModeMirror: "mirror", ModePostcopy: "postcopy", Mode(7): "mode(7)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("mode %d renders as %q, want %q", int(m), got, want)
+		}
+	}
+}

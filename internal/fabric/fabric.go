@@ -27,6 +27,15 @@ type Node struct {
 	NICIn  *flow.Link
 	NICOut *flow.Link
 	Disk   *flow.Link
+
+	diskPath []*flow.Link // {Disk}: the path of every local disk I/O
+	netPaths []netPath    // NetPath's paths from this node, in first-use order
+}
+
+// netPath is a cached network path to one destination node.
+type netPath struct {
+	dst   *Node
+	links []*flow.Link
 }
 
 func (n *Node) String() string { return fmt.Sprintf("node%d", n.ID) }
@@ -55,23 +64,35 @@ func NewCluster(eng *sim.Engine, n int, p params.Testbed) *Cluster {
 	}
 	c.Nodes = make([]*Node, n)
 	for i := range c.Nodes {
-		c.Nodes[i] = &Node{
+		nd := &Node{
 			ID:     i,
 			NICIn:  flow.NewLink(fmt.Sprintf("node%d.in", i), p.NICBandwidth),
 			NICOut: flow.NewLink(fmt.Sprintf("node%d.out", i), p.NICBandwidth),
 			Disk:   flow.NewLink(fmt.Sprintf("node%d.disk", i), p.DiskBandwidth),
 		}
+		nd.diskPath = []*flow.Link{nd.Disk}
+		c.Nodes[i] = nd
 	}
 	return c
 }
 
 // NetPath returns the link path for a network transfer src -> dst.
-// Transfers to self cross no links (loopback).
+// Transfers to self cross no links (loopback). A pair's path is built on
+// its first transfer and shared by every later one, since a flow never
+// mutates its links: callers must not modify it. A node sends to few
+// destinations, so the source's list is searched in order.
 func (c *Cluster) NetPath(src, dst *Node) []*flow.Link {
 	if src == dst {
 		return nil
 	}
-	return []*flow.Link{src.NICOut, c.Fabric, dst.NICIn}
+	for _, p := range src.netPaths {
+		if p.dst == dst {
+			return p.links
+		}
+	}
+	links := []*flow.Link{src.NICOut, c.Fabric, dst.NICIn}
+	src.netPaths = append(src.netPaths, netPath{dst, links})
+	return links
 }
 
 // RemoteReadPath returns the path for reading from server's disk into
@@ -112,7 +133,7 @@ func (c *Cluster) TransferFlow(src, dst *Node, size float64, tag flow.Tag, onDon
 // paying one disk access latency up front.
 func (c *Cluster) DiskIO(p *sim.Proc, node *Node, size float64, tag flow.Tag) {
 	p.Sleep(c.P.DiskLatency)
-	c.Net.Transfer(p, []*flow.Link{node.Disk}, size, tag)
+	c.Net.Transfer(p, node.diskPath, size, tag)
 }
 
 // ControlRTT models one small control-message round trip between nodes.

@@ -174,3 +174,19 @@ func TestDefaultTestbedConstants(t *testing.T) {
 		t.Fatal("chunk size is not the paper's 256 KB")
 	}
 }
+
+// TestNames: nodes and link roles render as they appear in link names and
+// fault messages.
+func TestNames(t *testing.T) {
+	c := NewCluster(sim.New(), 2, params.DefaultTestbed())
+	if got := c.Nodes[1].String(); got != "node1" {
+		t.Errorf("node renders as %q", got)
+	}
+	for r, want := range map[LinkRole]string{
+		LinkFabric: "fabric", LinkNICIn: "nic-in", LinkNICOut: "nic-out", LinkDisk: "disk", LinkRole(9): "role(9)",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("role %d renders as %q, want %q", int(r), got, want)
+		}
+	}
+}

@@ -133,3 +133,35 @@ func BenchmarkTransferComplete(b *testing.B) {
 	b.StopTimer()
 	e.Stop()
 }
+
+// BenchmarkUncontendedFlow runs full lifecycles (start, flush, completion
+// sweep, callback) of a 256 KB flow alone on an idle disk/NIC/fabric/NIC
+// path, the shape of a guest block's PFS read under pvfs-shared.
+func BenchmarkUncontendedFlow(b *testing.B) {
+	e := sim.New()
+	n := flow.NewNet(e)
+	const mb = 1 << 20
+	path := []*flow.Link{
+		flow.NewLink("disk", 55*mb), flow.NewLink("nic-out", 117.5*mb),
+		flow.NewLink("fabric", 8192*mb), flow.NewLink("nic-in", 117.5*mb),
+	}
+	done := false
+	onDone := func() { done = true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := n.AcquireFlow()
+		f.Links, f.Size, f.OnDone = path, 256<<10, onDone
+		done = false
+		n.Start(f)
+		if err := e.RunUntil(e.Now() + 1); err != nil {
+			b.Fatal(err)
+		}
+		if !done {
+			b.Fatal("flow did not complete")
+		}
+		n.ReleaseFlow(f)
+	}
+	b.StopTimer()
+	e.Stop()
+}

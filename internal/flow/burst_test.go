@@ -16,7 +16,8 @@ import (
 
 // TestStatsOneFillPerComponentPerInstant: five starts into each of three
 // disjoint components at one instant cost one flush and three fills;
-// starts at distinct instants cost one flush and one fill each.
+// starts at distinct instants cost one flush each and one fill each after
+// the first, which starts alone on an idle link and is rated without one.
 func TestStatsOneFillPerComponentPerInstant(t *testing.T) {
 	e := sim.New()
 	n := NewNet(e)
@@ -52,7 +53,7 @@ func TestStatsOneFillPerComponentPerInstant(t *testing.T) {
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := n.Stats(), (Stats{Starts: 5, Flushes: 5, Fills: 5, Collected: 5}); got != want {
+	if got, want := n.Stats(), (Stats{Starts: 5, Flushes: 5, Fills: 4, Collected: 4}); got != want {
 		t.Fatalf("staggered starts: stats %+v, want %+v", got, want)
 	}
 	e.Stop()
@@ -88,8 +89,9 @@ func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 	if len(c.group.members) != 0 {
 		t.Fatalf("%d group members left", len(c.group.members))
 	}
-	// One fill per component: {a, b}, c's group and the 20 pads.
-	want := Stats{Starts: 116, Flushes: 1, Fills: 22, Collected: 101, Retired: 96, Rebuilds: 1}
+	// One fill per component: {a, b} and c's group. The 20 pads are alone
+	// on their links and rated without a fill.
+	want := Stats{Starts: 116, Flushes: 1, Fills: 2, Collected: 81, Retired: 96, Rebuilds: 1}
 	if got := n.Stats(); got != want {
 		t.Fatalf("after the burst: stats %+v, want %+v", got, want)
 	}
@@ -97,6 +99,7 @@ func TestStatsBurstRetiredInOneRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Retired += 20
+	want.Uncontended += 20
 	if got := n.Stats(); got != want {
 		t.Fatalf("after the pads: stats %+v, want %+v", got, want)
 	}
@@ -274,6 +277,15 @@ func TestStartAtSweepInstantDefersNearlyDrained(t *testing.T) {
 	e.Stop()
 }
 
+// netMode selects the reference paths a schedule runs under; the zero
+// mode is the production one.
+type netMode struct {
+	oneByOne bool // sweeps retire one heap root at a time
+	ordinary bool // every flow starts on the ordinary path
+}
+
+func (m netMode) set(n *Net) { n.oneByOne, n.ordinary = m.oneByOne, m.ordinary }
+
 // runBurstSchedule drives a Net through a schedule decoded from data and
 // checks, after every step, the rates against the waterfilling oracle, the
 // completion-heap invariant and the component partition; after every burst
@@ -281,10 +293,10 @@ func TestStartAtSweepInstantDefersNearlyDrained(t *testing.T) {
 // fill per start. At the end, byte conservation. It returns the run's log:
 // each completion as the flow's start index and the instant's bits, then
 // each link's and each tag's byte count as bits.
-func runBurstSchedule(t *testing.T, data []byte, oneByOne bool) [][2]uint64 {
+func runBurstSchedule(t *testing.T, data []byte, mode netMode) [][2]uint64 {
 	e := sim.New()
 	n := NewNet(e)
-	n.oneByOne = oneByOne
+	mode.set(n)
 	var log [][2]uint64
 	links := []*Link{NewLink("l0", 100), NewLink("l1", 150), NewLink("l2", 80), NewLink("l3", 120), NewLink("l4", 60)}
 	var sizes, moved, completed float64
@@ -370,27 +382,32 @@ func runBurstSchedule(t *testing.T, data []byte, oneByOne bool) [][2]uint64 {
 	return log
 }
 
-// FuzzBurstStarts drives runBurstSchedule from fuzzer bytes, once with
-// batch retirement and once retiring one heap root at a time, and requires
-// the two logs to match bit for bit. The seed corpus is under
+// FuzzBurstStarts drives runBurstSchedule from fuzzer bytes three times:
+// as in production, retiring one heap root per sweep, and starting every
+// flow on the ordinary path. The two references' logs must match the
+// production run's bit for bit. The seed corpus is under
 // testdata/fuzz/FuzzBurstStarts; its equal-burst seeds retire co-due loose
 // flows, and the representatives of four co-due rate groups with the
-// members behind them, through a heap rebuild.
+// members behind them, through a heap rebuild, and its admit-* seeds make
+// uncontended flows ordinary at their own start instant, at a later start,
+// at a capacity change and at their cancel.
 func FuzzBurstStarts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sameLog(t, "burst schedule", runBurstSchedule(t, data, false), runBurstSchedule(t, data, true))
+		log := runBurstSchedule(t, data, netMode{})
+		sameLog(t, "burst schedule, one root at a time", log, runBurstSchedule(t, data, netMode{oneByOne: true}))
+		sameLog(t, "burst schedule, ordinary starts", log, runBurstSchedule(t, data, netMode{ordinary: true}))
 	})
 }
 
-// sameLog fails unless a batched run's log equals the one-at-a-time run's.
-func sameLog(t *testing.T, what string, batch, ref [][2]uint64) {
+// sameLog fails unless a production run's log equals a reference run's.
+func sameLog(t *testing.T, what string, got, ref [][2]uint64) {
 	t.Helper()
-	for i := 0; i < min(len(batch), len(ref)); i++ {
-		if batch[i] != ref[i] {
-			t.Fatalf("%s: log entry %d is %v batched, %v one at a time", what, i, batch[i], ref[i])
+	for i := 0; i < min(len(got), len(ref)); i++ {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: log entry %d is %v, reference %v", what, i, got[i], ref[i])
 		}
 	}
-	if len(batch) != len(ref) {
-		t.Fatalf("%s: %d log entries batched, %d one at a time", what, len(batch), len(ref))
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d log entries, reference %d", what, len(got), len(ref))
 	}
 }

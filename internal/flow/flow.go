@@ -131,6 +131,8 @@ type Link struct {
 	unfrozen   int
 	mark       uint64 // epoch stamp for component collection
 	snapMark   uint64 // epoch stamp for transparency-flip snapshots
+
+	solo *Flow // the uncontended flow crossing this link, if any
 }
 
 // ubMarginFactor keeps a strict margin below capacity in the transparency
@@ -164,6 +166,8 @@ func (l *Link) Bytes() float64 {
 		n = l.flows[0].net
 	} else if l.group != nil && len(l.group.members) > 0 {
 		n = l.group.members[0].net
+	} else if l.solo != nil {
+		n = l.solo.net
 	}
 	if n != nil {
 		n.flush()
@@ -175,22 +179,32 @@ func (l *Link) Bytes() float64 {
 				n.settle(f, n.lastEvent)
 			}
 		}
+		if f := l.solo; f != nil {
+			n.settle(f, n.lastEvent)
+		}
 	}
 	return l.bytes
 }
 
 // ActiveFlows returns the number of flows currently crossing the link.
 func (l *Link) ActiveFlows() int {
+	c := l.crossingCount()
+	if l.solo != nil {
+		c++
+	}
+	return c
+}
+
+// crossingCount and crossingAt iterate every flow the allocation sees
+// crossing the link: the loose list plus the link's own group members. An
+// uncontended flow is not among them.
+func (l *Link) crossingCount() int {
 	c := len(l.flows)
 	if l.group != nil {
 		c += len(l.group.members)
 	}
 	return c
 }
-
-// crossingCount and crossingAt iterate every flow crossing the link: the
-// loose list plus the link's own group members.
-func (l *Link) crossingCount() int { return l.ActiveFlows() }
 
 func (l *Link) crossingAt(i int) *Flow {
 	if i < len(l.flows) {
@@ -276,6 +290,7 @@ type Flow struct {
 	// allocation size class (TestFlowSizeClass).
 	frozen  bool // scratch for progressive filling
 	active  bool
+	solo    bool  // uncontended: alone on every link of its path since its start
 	index   int32 // position in net.flows
 	heapIdx int32 // position in net.compHeap, -1 while inactive
 	gIdx    int32 // position in group.members, -1 once removed
@@ -406,6 +421,9 @@ type Net struct {
 	// oneByOne, when set, makes sweeps retire one heap root at a time:
 	// tests hold retireDue to that reference.
 	oneByOne bool
+	// ordinary, when set, starts every flow on the ordinary path: tests
+	// hold the uncontended path to that reference.
+	ordinary bool
 }
 
 // compSpan delimits one component collected by reflow: its entries start
@@ -425,6 +443,10 @@ type Stats struct {
 	Collected uint64 // loose flows plus rate groups filled, over all fills
 	Retired   uint64 // flows retired by completion sweeps
 	Rebuilds  uint64 // sweeps that re-heapified the completion heap
+	// Uncontended counts the flows retired by completion sweeps without
+	// ever being collected: alone on every link of their path from start
+	// to completion.
+	Uncontended uint64
 }
 
 // NewNet returns a flow network bound to the engine.
@@ -437,9 +459,6 @@ func NewNet(eng *sim.Engine) *Net {
 
 // Stats returns the net's work counters.
 func (n *Net) Stats() Stats { return n.stats }
-
-// Engine returns the simulation engine.
-func (n *Net) Engine() *sim.Engine { return n.eng }
 
 // A rateGroup aggregates the active flows whose sole opaque (potentially
 // binding) link is this group's link and which carry no per-flow cap. Every
@@ -778,6 +797,12 @@ func (n *Net) ActiveFlows() int { return len(n.flows) }
 // fires before Start returns). A flow must not be started twice. The rates
 // of the flow's component are refilled by the instant's flush, which every
 // read of the net runs first.
+//
+// A flow whose links are all idle starts uncontended: the flush rates it
+// directly at its narrowest capacity or its cap, which is what a fill of a
+// component of one flow gives, and it stays off the links' lists, their
+// saturability sums and the rate groups until another start on one of its
+// links, a capacity change on one of them or its own cancel admits it.
 func (n *Net) Start(f *Flow) {
 	if f.net != nil {
 		panic("flow: flow started twice")
@@ -799,6 +824,17 @@ func (n *Net) Start(f *Flow) {
 		n.finish(f)
 		return
 	}
+	// Admit the uncontended flows on the path first, so that every list and
+	// sum this start touches holds what ordinary starts would have left.
+	solo := !n.ordinary
+	for i, l := range f.Links {
+		if s := l.solo; s != nil {
+			n.admit(s)
+		}
+		if solo && (l.crossingCount() > 0 || slices.Contains(f.Links[:i], l)) {
+			solo = false
+		}
+	}
 	f.active = true
 	f.lastSettle = n.eng.Now()
 	f.anchorT = f.lastSettle
@@ -819,6 +855,31 @@ func (n *Net) Start(f *Flow) {
 			f.minCap2 = l.Capacity
 		}
 	}
+	f.group, f.gIdx = nil, -1
+	if solo {
+		f.solo = true
+		for _, l := range f.Links {
+			l.solo = f
+		}
+	} else {
+		n.place(f)
+	}
+	n.stats.Starts++
+	if len(n.pending) == 0 {
+		// The first start at this instant schedules the flush and disarms
+		// the sweep until the flush re-arms it: a sweep already armed for
+		// this instant would otherwise fire first and retire nearly-drained
+		// flows by the epsBytes rule before the new flows slow them down.
+		n.sweepTimer.Cancel()
+		n.flushTimer = n.eng.At(n.eng.Now(), n.flushFn)
+	}
+	n.pending = append(n.pending, f)
+}
+
+// place enters a started flow into the allocation: its saturability
+// contributions on every link, its rate group or its loose listings, and a
+// completion-heap entry that its fill will key.
+func (n *Net) place(f *Flow) {
 	// Add the flow's saturability contributions; a link may flip opaque,
 	// which can strip the sole-opaque-link property from flows grouped
 	// elsewhere — reclassify them before placing the new flow.
@@ -833,7 +894,6 @@ func (n *Net) Start(f *Flow) {
 	for _, l := range n.flipped {
 		n.reclassifyCrossing(l)
 	}
-	f.group, f.gIdx = nil, -1
 	if L := n.groupLinkFor(f); L != nil {
 		for k, l := range f.Links {
 			if l != L {
@@ -854,16 +914,47 @@ func (n *Net) Start(f *Flow) {
 		}
 		n.heapPush(f)
 	}
-	n.stats.Starts++
-	if len(n.pending) == 0 {
-		// The first start at this instant schedules the flush and disarms
-		// the sweep until the flush re-arms it: a sweep already armed for
-		// this instant would otherwise fire first and retire nearly-drained
-		// flows by the epsBytes rule before the new flows slow them down.
-		n.sweepTimer.Cancel()
-		n.flushTimer = n.eng.At(n.eng.Now(), n.flushFn)
+}
+
+// admit makes an uncontended flow ordinary. Before its start instant's
+// flush it is placed as its start would have placed it, for the flush to
+// fill. After the flush it takes the state that start and the fill of its
+// one-flow component left: its saturability contributions, its listings,
+// and either its loose rate or a rate group whose progress was reset at
+// the start instant and which runs at its rate. Its links carry no other
+// flow, so no contribution flips a link anyone else crosses, and its rate,
+// byte anchor and completion-heap entry stand as they are.
+func (n *Net) admit(f *Flow) {
+	f.solo = false
+	for _, l := range f.Links {
+		l.solo = nil
 	}
-	n.pending = append(n.pending, f)
+	if f.rate == 0 {
+		n.place(f)
+		return
+	}
+	for _, l := range f.Links {
+		l.addUB(f)
+	}
+	L := n.groupLinkFor(f)
+	for k, l := range f.Links {
+		if l == L {
+			f.pos[k] = -1
+		} else {
+			f.listOn(k)
+		}
+	}
+	if L == nil {
+		return
+	}
+	g := L.group
+	if g == nil {
+		g = &rateGroup{link: L}
+		L.group = g
+	}
+	g.pAnchor, g.anchorT, g.rate = 0, f.anchorT, f.rate
+	f.group, f.finishP, f.gIdx, f.rate = g, f.Size, 0, 0
+	g.members = append(g.members, f)
 }
 
 // flush runs the fill deferred by the starts at this instant, if any. The
@@ -895,6 +986,10 @@ func (n *Net) reflow() {
 	n.spans = n.spans[:0]
 	for i := len(n.pending) - 1; i >= 0; i-- {
 		f := n.pending[i]
+		if f.solo {
+			n.rateSolo(f)
+			continue
+		}
 		if startMark(f) >= base {
 			continue
 		}
@@ -908,7 +1003,9 @@ func (n *Net) reflow() {
 	}
 	// The k-th component was collected under epoch base+k.
 	for _, f := range n.pending {
-		n.spans[startMark(f)-base].starts++
+		if !f.solo {
+			n.spans[startMark(f)-base].starts++
+		}
 	}
 	nf, nl, ng := len(n.compFlows), len(n.compLinks), len(n.compGroups)
 	for k := len(n.spans) - 1; k >= 0; k-- {
@@ -923,6 +1020,19 @@ func (n *Net) reflow() {
 	clear(n.pending)
 	n.pending = n.pending[:0]
 	n.reschedule()
+}
+
+// rateSolo gives a pending uncontended flow the rate and completion that
+// the fill of its one-flow component would: the share of its narrowest
+// link alone, or its cap where that is lower, projected from its start at
+// this instant.
+func (n *Net) rateSolo(f *Flow) {
+	f.rate = f.minCap
+	if f.MaxRate > 0 && f.MaxRate < f.rate {
+		f.rate = f.MaxRate
+	}
+	f.compT = f.anchorT + f.anchorRem/f.rate
+	n.heapPush(f)
 }
 
 // seed adds a started flow's component seeds: the flow itself while it is
@@ -952,6 +1062,9 @@ func (n *Net) Cancel(f *Flow) float64 {
 		return 0
 	}
 	n.flush()
+	if f.solo {
+		n.admit(f)
+	}
 	n.lastEvent = n.eng.Now()
 	n.settle(f, n.lastEvent)
 	rem := f.remaining
@@ -986,6 +1099,9 @@ func (n *Net) SetCapacity(l *Link, c float64) {
 		return
 	}
 	n.flush()
+	if f := l.solo; f != nil {
+		n.admit(f)
+	}
 	n.lastEvent = n.eng.Now()
 	n.resetComponent()
 	// Force-seed the link itself: even a currently transparent link must have
@@ -1162,6 +1278,18 @@ func (n *Net) deactivate(f *Flow) {
 	n.flows[f.index].index = f.index
 	n.flows[last] = nil
 	n.flows = n.flows[:last]
+	if f.solo {
+		// Only a completion sweep retires an uncontended flow, off the
+		// heap already; it holds no listing, saturability contribution or
+		// group to give back.
+		f.solo = false
+		for _, l := range f.Links {
+			l.solo = nil
+		}
+		n.stats.Uncontended++
+		f.rate = 0
+		return
+	}
 	g := f.group
 	if g != nil && f.gIdx >= 0 {
 		n.popMember(g, f)

@@ -578,25 +578,34 @@ func checkCompletionHeap(t *testing.T, n *Net) {
 // one changes. Bursts of equal flows, loose on two shared links or dealt
 // out to the members of up to 12 rate groups, each with a few stragglers a
 // fraction of epsBytes longer, come due together and drive the sweep's batch retirement and its
-// heap rebuild; each schedule is run again retiring one root at a time, and
-// both runs must fire the same completions at the same instants and leave
-// bit-identical link and tag byte counts.
+// heap rebuild. The background flows and the first flow of each burst on a
+// hub start uncontended, and the burst's next start admits it. Each
+// schedule is run again retiring one root at a time, and once more
+// starting every flow on the ordinary path; all three runs must fire the
+// same completions at the same instants and leave bit-identical link and
+// tag byte counts.
 func TestCompletionHeapInvariantProperty(t *testing.T) {
-	var rebuilds, retired uint64
+	var rebuilds, retired, uncontended uint64
 	f := func(seed int64) bool {
-		batch, st := runHeapSchedule(t, seed, false)
-		ref, _ := runHeapSchedule(t, seed, true)
-		sameLog(t, fmt.Sprintf("seed %d", seed), batch, ref)
+		log, st := runHeapSchedule(t, seed, netMode{})
+		ref, _ := runHeapSchedule(t, seed, netMode{oneByOne: true})
+		sameLog(t, fmt.Sprintf("seed %d, one root at a time", seed), log, ref)
+		ref, _ = runHeapSchedule(t, seed, netMode{ordinary: true})
+		sameLog(t, fmt.Sprintf("seed %d, ordinary starts", seed), log, ref)
 		rebuilds += st.Rebuilds
 		retired += st.Retired
+		uncontended += st.Uncontended
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d flows retired, %d sweeps rebuilt", retired, rebuilds)
+	t.Logf("%d flows retired, %d uncontended, %d sweeps rebuilt", retired, uncontended, rebuilds)
 	if rebuilds == 0 || retired == 0 {
 		t.Fatalf("%d flows retired in %d rebuilds: the schedules missed the batch path", retired, rebuilds)
+	}
+	if uncontended == 0 {
+		t.Fatalf("%d flows retired, none uncontended: the schedules missed the fast path", retired)
 	}
 }
 
@@ -604,11 +613,11 @@ func TestCompletionHeapInvariantProperty(t *testing.T) {
 // one seed and returns its log: each completion as the flow's start index
 // and the instant's bits, then, after every step, each link's and each
 // tag's byte count as bits.
-func runHeapSchedule(t *testing.T, seed int64, oneByOne bool) ([][2]uint64, Stats) {
+func runHeapSchedule(t *testing.T, seed int64, mode netMode) ([][2]uint64, Stats) {
 	rng := rand.New(rand.NewSource(seed))
 	e := sim.New()
 	n := NewNet(e)
-	n.oneByOne = oneByOne
+	mode.set(n)
 	var log [][2]uint64
 	var links []*Link
 	started := uint64(0)

@@ -84,7 +84,8 @@ func (m *listModel) unlist(l *Link, f *Flow) {
 
 // checkLists compares every link's loose list with the model element by
 // element, and checks that every active flow's recorded slots index back to
-// it: one slot per listing, and -1 only on its rate group's home link.
+// it: one slot per listing, and -1 only on its rate group's home link. An
+// uncontended flow is listed nowhere and is the only flow on its links.
 func checkLists(t *testing.T, n *Net, links []*Link, m *listModel, where string) {
 	t.Helper()
 	for _, l := range links {
@@ -95,8 +96,19 @@ func checkLists(t *testing.T, n *Net, links []*Link, m *listModel, where string)
 		if len(l.flows) != len(m.lists[l]) {
 			t.Fatalf("%s: link %s lists %d flows, model %d", where, l.Name, len(l.flows), len(m.lists[l]))
 		}
+		if s := l.solo; s != nil && (!s.solo || l.ActiveFlows() != 1) {
+			t.Fatalf("%s: link %s holds uncontended seq%d among %d flows", where, l.Name, s.seq, l.ActiveFlows())
+		}
 	}
 	for _, f := range n.flows {
+		if f.solo {
+			for _, l := range f.Links {
+				if l.solo != f {
+					t.Fatalf("%s: uncontended seq%d is not on %s", where, f.seq, l.Name)
+				}
+			}
+			continue
+		}
 		for k, l := range f.Links {
 			p := f.pos[k]
 			if p < 0 {

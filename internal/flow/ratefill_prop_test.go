@@ -25,18 +25,18 @@ import (
 func referenceMaxMin(n *Net) map[*Flow]float64 {
 	rates := make(map[*Flow]float64, len(n.flows))
 	frozen := make(map[*Flow]bool, len(n.flows))
-	links := make(map[*Link]bool)
+	// Each link's crossings, one per occurrence on a flow's path.
+	links := make(map[*Link][]*Flow)
 	for _, f := range n.flows {
 		for _, l := range f.Links {
-			links[l] = true
+			links[l] = append(links[l], f)
 		}
 	}
 	// share returns l's fair share among its unfrozen flows and their count.
 	share := func(l *Link) (float64, int) {
 		avail := l.Capacity
 		cnt := 0
-		for i, c := 0, l.crossingCount(); i < c; i++ {
-			f := l.crossingAt(i)
+		for _, f := range links[l] {
 			if frozen[f] {
 				avail -= rates[f]
 			} else {
@@ -84,8 +84,7 @@ func referenceMaxMin(n *Net) map[*Flow]float64 {
 				if cnt == 0 || s > minShare*(1+1e-9) {
 					continue
 				}
-				for i, c := 0, l.crossingCount(); i < c; i++ {
-					f := l.crossingAt(i)
+				for _, f := range links[l] {
 					if !frozen[f] {
 						rates[f] = s
 						frozen[f] = true

@@ -68,6 +68,9 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("CanceledError does not unwrap to context.Canceled: %v", err)
 	}
+	if msg, want := ce.Error(), "scenario: run canceled at t=0 s: context canceled"; msg != want {
+		t.Fatalf("CanceledError says %q, want %q", msg, want)
+	}
 }
 
 // campaignScenario builds a long-running serial campaign so a mid-run cancel

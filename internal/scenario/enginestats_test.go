@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/cluster"
+	"github.com/hybridmig/hybridmig/internal/flow"
 	"github.com/hybridmig/hybridmig/internal/sim"
 )
 
@@ -62,4 +63,28 @@ func TestEngineStatsQuickstart(t *testing.T) {
 // wake-up is taken in place by a hosted park.
 func TestEngineStatsSharedIOR(t *testing.T) {
 	checkEngineStats(t, cluster.PVFSShared, sim.Stats{Callbacks: 41126, Dispatches: 17, Elided: 41112})
+}
+
+// TestFlowStatsSharedIOR pins the flow allocator's work counters on the
+// quickstart's shape under pvfs-shared. Each guest block is one PFS flow,
+// and nearly all of them run alone on their links from start to
+// completion: they are rated without a fill and retired as uncontended
+// (the ordinary path made 20,695 fills collecting 20,873 units here).
+func TestFlowStatsSharedIOR(t *testing.T) {
+	s := New(WithNodes(4)).
+		AddVM(VMSpec{Name: "vm0", Node: 0, Approach: cluster.PVFSShared, Workload: IOR(nil)}).
+		MigrateAt("vm0", 1, 3)
+	cfg, set, byName, err := s.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := s.build(cfg, set, byName)
+	if err := ss.tb.Eng.Drain(s.opt.horizon); err != nil {
+		t.Fatal(err)
+	}
+	ss.tb.Eng.Shutdown()
+	want := flow.Stats{Starts: 20566, Flushes: 20562, Fills: 276, Collected: 454, Retired: 20566, Rebuilds: 1, Uncontended: 20418}
+	if got := ss.tb.Cl.Net.Stats(); got != want {
+		t.Errorf("flow stats = %+v, want %+v", got, want)
+	}
 }

@@ -297,6 +297,62 @@ func TestCancelMidRunNoLeak(t *testing.T) {
 	}
 }
 
+// TestHTTPCancel drives POST /v1/runs/{id}/cancel: against a running run it
+// answers 202 with the run's snapshot and the run ends canceled by the
+// client; an unknown ID gets 404. The run's executor holds it running until
+// its context is canceled, so the cancel always lands mid-run.
+func TestHTTPCancel(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	running := make(chan struct{})
+	s.execute = func(r *Run) {
+		close(running)
+		<-r.ctx.Done()
+		r.setTerminal(StateCanceled, nil, causeText(r.ctx))
+	}
+	s.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	r, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	resp, err := http.Post(ts.URL+"/v1/runs/"+r.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("cancel = %d, want 202", resp.StatusCode)
+	}
+	var snap Snapshot
+	decodeBody(t, resp, &snap)
+	// The cancel is a request: the snapshot may be taken before the
+	// executor has seen it.
+	if snap.ID != r.ID || (snap.State != StateRunning && snap.State != StateCanceled) {
+		t.Fatalf("cancel snapshot %+v, want run %s running or canceled", snap, r.ID)
+	}
+	waitTerminal(t, r)
+	if _, reason, st := r.Result(); st != StateCanceled || !strings.Contains(reason, "canceled by client") {
+		t.Fatalf("state %s (%q), want canceled by client", st, reason)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/runs/run-999999/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("cancel of an unknown run = %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestWallBudgetBreaker: a run whose wall budget is far below its real cost
 // is killed by the breaker and lands in state failed with the typed reason.
 func TestWallBudgetBreaker(t *testing.T) {

@@ -135,6 +135,9 @@ func TestSleepPastHorizonParks(t *testing.T) {
 	if *de != (DeadlineError{Horizon: 5, Next: 11, Pending: 1, Live: 1}) {
 		t.Fatalf("DeadlineError = %+v, want {5 11 1 1}", *de)
 	}
+	if msg, want := de.Error(), "sim: horizon 5 s exceeded: 1 events pending (next at 11 s), 1 live processes"; msg != want {
+		t.Fatalf("DeadlineError says %q, want %q", msg, want)
+	}
 	if e.Now() != 1 || e.Stats().Elided != 1 {
 		t.Fatalf("clock %g, %d elided; want 1, 1", e.Now(), e.Stats().Elided)
 	}

@@ -476,9 +476,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Name returns the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Go spawns a new process. The function starts executing at the current
 // virtual time, after the spawning context yields to the engine (i.e. it is
 // scheduled, not run inline).
@@ -811,9 +808,6 @@ func (w *WaitGroup) Done(e *Engine) {
 		w.cond.Broadcast(e)
 	}
 }
-
-// Count returns the current counter value.
-func (w *WaitGroup) Count() int { return w.n }
 
 // Wait parks until the counter reaches zero.
 func (w *WaitGroup) Wait(p *Proc) {

@@ -309,9 +309,6 @@ func (v *VM) SetCPUSteal(f float64) {
 	v.steal = f
 }
 
-// CPUSteal returns the current steal fraction.
-func (v *VM) CPUSteal() float64 { return v.steal }
-
 // stealQuantum bounds how much CPU time Exec consumes per slice so steal
 // changes apply with sub-second resolution even to long compute phases.
 const stealQuantum = 1.0

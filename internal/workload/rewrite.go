@@ -20,7 +20,6 @@ type RewriteReport struct {
 type Rewriter struct {
 	P      params.Rewrite
 	Report RewriteReport
-	done   sim.Gate
 }
 
 // NewRewriter returns a rewrite workload with the given configuration.
@@ -47,8 +46,4 @@ func (w *Rewriter) Run(p *sim.Proc, g *guest.Guest) {
 		p.Sleep(w.P.Interval)
 	}
 	w.Report.Runtime = p.Now() - start
-	w.done.Open(p.Engine())
 }
-
-// Wait parks until the workload finishes.
-func (w *Rewriter) Wait(p *sim.Proc) { w.done.Wait(p) }

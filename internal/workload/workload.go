@@ -55,7 +55,6 @@ func (r IORReport) ReadBW() float64 {
 type IOR struct {
 	P      params.IOR
 	Report IORReport
-	done   sim.Gate
 }
 
 // NewIOR returns an IOR instance with the given configuration.
@@ -90,11 +89,7 @@ func (w *IOR) Run(p *sim.Proc, g *guest.Guest) {
 		w.Report.Iterations++
 	}
 	w.Report.Runtime = p.Now() - start
-	w.done.Open(p.Engine())
 }
-
-// Wait parks until the benchmark finishes.
-func (w *IOR) Wait(p *sim.Proc) { w.done.Wait(p) }
 
 // AsyncWRReport carries AsyncWR's measurements.
 type AsyncWRReport struct {
@@ -124,7 +119,6 @@ type AsyncWR struct {
 	// counters over a fixed horizon).
 	Deadline sim.Time
 	Report   AsyncWRReport
-	done     sim.Gate
 }
 
 // NewAsyncWR returns an AsyncWR instance with the given configuration.
@@ -186,11 +180,7 @@ func (w *AsyncWR) Run(p *sim.Proc, g *guest.Guest) {
 	writer.Acquire(p) // drain the last write
 	writer.Release(eng)
 	w.Report.Runtime = p.Now() - start
-	w.done.Open(eng)
 }
-
-// Wait parks until the benchmark finishes.
-func (w *AsyncWR) Wait(p *sim.Proc) { w.done.Wait(p) }
 
 // Barrier synchronizes the BSP supersteps of CM1 ranks.
 type Barrier struct {
@@ -236,7 +226,6 @@ type CM1 struct {
 	started sim.Time
 	begun   bool
 	left    int
-	done    sim.Gate
 }
 
 // NewCM1 returns a coordinator for the configured grid; halo exchanges run
@@ -281,6 +270,13 @@ func (w *CM1) Rank(p *sim.Proc, r int, g *guest.Guest, peers []*guest.Guest) {
 	reg := g.VM.Mem.Alloc(w.P.WorkingSet, true)
 	dirt := g.VM.Mem.NewDirtier(reg, w.P.MemoryDirtyRate)
 
+	// The halo flows come from the net's pool and go back to it once the
+	// interval's exchange is over; they share one completion callback.
+	net := w.cl.Net
+	nbs := w.neighbors(r)
+	halo := make([]*flow.Flow, 0, len(nbs))
+	var wg sim.WaitGroup
+	haloDone := func() { wg.Done(eng) }
 	for interval := 0; interval < w.P.Intervals; interval++ {
 		// Compute phase: the stencil sweeps dirty the state arrays.
 		dirt.SetActive(true, p.Now())
@@ -290,15 +286,20 @@ func (w *CM1) Rank(p *sim.Proc, r int, g *guest.Guest, peers []*guest.Guest) {
 		// Halo exchange with the grid neighbours (tagged app traffic so the
 		// Fig. 5(b) accounting can exclude it), then a BSP barrier: one slow
 		// rank drags everyone, the effect Figure 5(c) hinges on.
-		var wg sim.WaitGroup
 		here := g.VM.Node // migrations move the VM between intervals
-		for _, nb := range w.neighbors(r) {
-			peer := peers[nb].VM.Node
+		for _, nb := range nbs {
+			fl := net.AcquireFlow()
+			fl.Links, fl.Size, fl.Tag, fl.OnDone = w.cl.NetPath(here, peers[nb].VM.Node), float64(w.P.HaloBytes), flow.TagApp, haloDone
 			wg.Add(1)
-			w.cl.TransferFlow(here, peer, float64(w.P.HaloBytes), flow.TagApp,
-				func() { wg.Done(eng) })
+			net.Start(fl)
+			halo = append(halo, fl)
 		}
 		wg.Wait(p)
+		for i, fl := range halo {
+			net.ReleaseFlow(fl)
+			halo[i] = nil
+		}
+		halo = halo[:0]
 		w.barrier.Wait(p)
 
 		// Output dump: buffered write of the subdomain snapshot.
@@ -308,9 +309,5 @@ func (w *CM1) Rank(p *sim.Proc, r int, g *guest.Guest, peers []*guest.Guest) {
 	if w.left == 0 {
 		w.Report.Runtime = p.Now() - w.started
 		w.Report.Intervals = w.P.Intervals
-		w.done.Open(eng)
 	}
 }
-
-// Wait parks until every rank has finished.
-func (w *CM1) Wait(p *sim.Proc) { w.done.Wait(p) }
