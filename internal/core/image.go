@@ -327,11 +327,7 @@ func (im *Image) Read(p *sim.Proc, off, length int64) {
 	req := chunk.Range{Off: off, Len: length}
 	first, last := im.geo.Span(req)
 	for c := first; c <= last; {
-		cat := im.category(c)
-		end := c
-		for end+1 <= last && im.category(end+1) == cat {
-			end++
-		}
+		cat, end := im.run(c, last)
 		switch cat {
 		case catRemaining:
 			im.onDemandPull(p, c, end)
@@ -373,6 +369,23 @@ func (im *Image) category(c chunk.Idx) cat {
 	default:
 		return catBase
 	}
+}
+
+// run returns the category of c and the last chunk e in [c, last] such that
+// every chunk in [c, e] has that category. Outside a pull the category is
+// local membership alone, so the run is the local set's run; a pulling
+// destination extends it a chunk at a time, since staleBaseOwed also reads
+// remaining, inFlight and content.
+func (im *Image) run(c, last chunk.Idx) (cat, chunk.Idx) {
+	k := im.category(c)
+	if !im.isDest() {
+		return k, im.cur.local.RunEnd(c, last)
+	}
+	end := c
+	for end < last && im.category(end+1) == k {
+		end++
+	}
+	return k, end
 }
 
 // fetchBase brings chunks [c..end] from the repository and caches them on

@@ -352,11 +352,16 @@ func (im *Image) transferIOControl() {
 	im.stats.ControlAt = im.eng.Now()
 	im.emitPhase("control-transfer")
 	// Hints: base-image content the source had cached (hot base content),
-	// as the maximal runs of local &^ modified.
+	// as the maximal runs of local &^ modified. A run the destination
+	// already holds is dropped here: no side ever loses a local or modified
+	// chunk, so the prefetcher would skip it too, and a destination that
+	// holds every hint (a preseeded replica) needs no prefetcher at all.
 	var hints []chunkRun
 	if im.opts.BasePrefetch {
 		for first, last := range im.cur.local.DiffRuns(im.cur.modified) {
-			hints = append(hints, chunkRun{first, last})
+			if im.dst.firstMissing(first, last) <= last {
+				hints = append(hints, chunkRun{first, last})
+			}
 		}
 	}
 	counts := im.writeCount

@@ -1929,7 +1929,7 @@ func (n *Net) heapRemove(f *Flow) {
 	f.heapIdx = -1
 }
 
-// AcquireFlow returns a zeroed Flow from the net's free list, or a new one
+// AcquireFlow returns a reset Flow from the net's free list, or a new one
 // if the list is empty. Pair with ReleaseFlow to run construct-and-forget
 // transfers without a per-flow allocation.
 func (n *Net) AcquireFlow() *Flow {
@@ -1950,7 +1950,9 @@ func (n *Net) ReleaseFlow(f *Flow) {
 	if f.active {
 		panic("flow: ReleaseFlow on an active flow")
 	}
-	*f = Flow{}
+	// The completion condition is empty once every Wait has returned; it
+	// keeps its waiter slice, so a reused flow's Wait does not grow a new one.
+	*f = Flow{doneCond: f.doneCond}
 	n.free = append(n.free, f)
 }
 

@@ -711,3 +711,40 @@ func runHeapSchedule(t *testing.T, seed int64, mode netMode) ([][2]uint64, Stats
 	e.Shutdown()
 	return log, st
 }
+
+// TestPooledTransferZeroAllocs: a steady-state Transfer allocates nothing,
+// alone on its links (rated without a fill) or beside a standing flow. The
+// pooled flow keeps its emptied completion condition across ReleaseFlow, so
+// its next Wait reuses the waiter slice instead of growing a new one.
+func TestPooledTransferZeroAllocs(t *testing.T) {
+	for _, contended := range []bool{false, true} {
+		e := sim.New()
+		n := NewNet(e)
+		out, in := NewLink("out", 1e8), NewLink("in", 1e8)
+		if contended {
+			n.Start(&Flow{Links: []*Link{out}, Size: 1e15})
+		}
+		path := []*Link{out, in}
+		done := 0
+		e.Go("client", func(p *sim.Proc) {
+			for {
+				n.Transfer(p, path, 256*1024, TagOther)
+				done++
+			}
+		})
+		one := func() {
+			for want := done + 1; done < want; {
+				if !e.Step() {
+					t.Fatal("engine ran dry")
+				}
+			}
+		}
+		for i := 0; i < 4; i++ {
+			one()
+		}
+		if allocs := testing.AllocsPerRun(100, one); allocs != 0 {
+			t.Errorf("contended %v: pooled Transfer allocates %v per call, want 0", contended, allocs)
+		}
+		e.Shutdown()
+	}
+}

@@ -15,11 +15,14 @@
 // The cache layer stands for the combined guest+host page-cache path that
 // makes the paper's no-migration IOR maxima possible (reads of resident data
 // at ~1 GB/s, buffered writes absorbed at ~266 MB/s against a 55 MB/s disk),
-// with writeback continuously draining to the image. Approaches backed by
-// local storage run with the cache enabled; the pvfs-shared baseline runs in
-// passthrough mode, reflecting that shared-storage live migration mandates
-// cache=none and that PVFS does no client-side caching — which is exactly
-// why the paper measures its throughput at a few percent of the local case.
+// with writeback continuously draining to the image. The writeback worker
+// is spawned by the write that dirties the first page, so a cache that is
+// only read (a boot from a preseeded replica) runs no worker at all.
+// Approaches backed by local storage run with the cache enabled; the
+// pvfs-shared baseline runs in passthrough mode, reflecting that
+// shared-storage live migration mandates cache=none and that PVFS does no
+// client-side caching — which is exactly why the paper measures its
+// throughput at a few percent of the local case.
 //
 // The filesystem contributes the paper's "hot chunk" behaviour: every
 // MetadataEvery bytes of data, a journal commit and an inode-table update
@@ -115,6 +118,8 @@ func (d *RawDisk) Geometry() chunk.Geometry { return d.Geo }
 // Cache is the buffered I/O layer at cache-page granularity over the image's
 // address space. It implements vm.DiskImage so it can interpose on the VM's
 // image. In passthrough mode it forwards everything to the inner image.
+// Otherwise its first dirty page spawns the writeback worker, which then
+// drains every later one; until then Sync has nothing to flush.
 type Cache struct {
 	eng   *sim.Engine
 	g     *Guest
@@ -132,6 +137,7 @@ type Cache struct {
 	wbKick    sim.Cond // wakes the writeback worker
 	idle      sim.Cond // broadcast when dirty drains to zero
 	wbFlights int      // writeback batches in flight
+	wbLive    bool     // the writeback worker has been spawned
 
 	// Stats.
 	HitBytes       float64
@@ -164,9 +170,6 @@ func newCache(eng *sim.Engine, g *Guest, inner vm.DiskImage, on bool) *Cache {
 		cached:   chunk.NewSet(n),
 		dirty:    chunk.NewSet(n),
 		memReg:   g.VM.Mem.Alloc(region, false),
-	}
-	if on {
-		eng.Go(fmt.Sprintf("%s/writeback", g.VM.Name), c.writebackLoop)
 	}
 	return c
 }
@@ -218,6 +221,10 @@ func (c *Cache) Write(p *sim.Proc, off, length int64) {
 	c.cached.AddRange(first, last)
 	c.dirty.AddRange(first, last)
 	c.AbsorbedBytes += float64(length)
+	if !c.wbLive {
+		c.wbLive = true
+		c.eng.Go(c.g.VM.Name+"/writeback", c.writebackLoop)
+	}
 	c.wbKick.Broadcast(c.eng)
 }
 
@@ -262,7 +269,7 @@ func (c *Cache) Read(p *sim.Proc, off, length int64) {
 // image itself syncs. During a migration this is the control-transfer hook,
 // so the flush rides inside the hypervisor's stop-and-copy window.
 func (c *Cache) Sync(p *sim.Proc) {
-	if c.on {
+	if c.wbLive {
 		c.wbKick.Broadcast(c.eng)
 		for c.dirty.Count() > 0 || c.wbFlights > 0 {
 			c.idle.Wait(p)

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hybridmig/hybridmig/internal/chunk"
@@ -168,6 +169,66 @@ func TestWritebackDrainsToImage(t *testing.T) {
 	}
 	if img.syncs != 1 {
 		t.Fatalf("syncs = %d, want 1", img.syncs)
+	}
+	eng.Shutdown()
+}
+
+// TestReadOnlyCacheSpawnsNoWriteback: a cache that is read but never
+// written has no dirty page, so it spawns no writeback worker, and Sync
+// reaches the image at once.
+func TestReadOnlyCacheSpawnsNoWriteback(t *testing.T) {
+	eng := sim.New()
+	g, img := newTestGuest(eng)
+	var readAt, syncedAt sim.Time
+	eng.Go("app", func(p *sim.Proc) {
+		g.FS.ReadRaw(p, 0, 2*params.MB)
+		readAt = p.Now()
+		g.VM.Image.Sync(p)
+		syncedAt = p.Now()
+	})
+	if err := eng.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if readAt == 0 || syncedAt != readAt {
+		t.Fatalf("read done at %v, synced at %v; want the sync at the read's instant", readAt, syncedAt)
+	}
+	if s := eng.Stats().Spawns; s != 1 {
+		t.Fatalf("%d processes spawned, want 1 (the reader alone)", s)
+	}
+	if eng.LiveProcs() != 0 || img.syncs != 1 || img.writeBytes != 0 {
+		t.Fatalf("%d live processes, %d inner syncs, %d bytes written; want 0, 1, 0",
+			eng.LiveProcs(), img.syncs, img.writeBytes)
+	}
+	eng.Shutdown()
+}
+
+// TestFirstWriteSpawnsWriteback: the first dirty page spawns the writeback
+// worker, later writes wake the same worker, and the pages reach the image.
+func TestFirstWriteSpawnsWriteback(t *testing.T) {
+	eng := sim.New()
+	g, img := newTestGuest(eng)
+	page := g.P.CachePage
+	var spawns []uint64
+	eng.Go("app", func(p *sim.Proc) {
+		spawns = append(spawns, eng.Stats().Spawns)
+		g.Cache.Write(p, 0, page)
+		spawns = append(spawns, eng.Stats().Spawns)
+		g.Cache.Write(p, 4*page, page)
+		spawns = append(spawns, eng.Stats().Spawns)
+	})
+	if err := eng.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 2, 2}; !slices.Equal(spawns, want) {
+		t.Fatalf("spawns before and after each write = %v, want %v", spawns, want)
+	}
+	want := []chunk.Range{{Off: 0, Len: page}, {Off: 4 * page, Len: page}}
+	if !slices.Equal(img.writes, want) || g.Cache.DirtyBytes() != 0 {
+		t.Fatalf("image writes %v with %d bytes dirty, want %v and 0", img.writes, g.Cache.DirtyBytes(), want)
+	}
+	if g.Cache.WritebackBytes != float64(2*page) || eng.LiveProcs() != 1 {
+		t.Fatalf("%v bytes written back with %d live processes, want %d and 1 (the parked worker)",
+			g.Cache.WritebackBytes, eng.LiveProcs(), 2*page)
 	}
 	eng.Shutdown()
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -52,9 +53,12 @@ func checkEngineStats(t *testing.T, approach cluster.Approach, want sim.Stats) {
 }
 
 // TestEngineStatsQuickstart pins the counters on the README quickstart
-// (our-approach).
+// (our-approach). Its seven processes are the boot read, the cache
+// writeback worker (spawned at the boot read's first dirty page), the IOR
+// workload, the migration (middleware), and its push, pull and base
+// prefetch.
 func TestEngineStatsQuickstart(t *testing.T) {
-	checkEngineStats(t, cluster.OurApproach, sim.Stats{Callbacks: 560, Dispatches: 1023, Elided: 20335})
+	checkEngineStats(t, cluster.OurApproach, sim.Stats{Callbacks: 560, Dispatches: 1022, Elided: 20335, Spawns: 7})
 }
 
 // TestEngineStatsSharedIOR pins the counters on the quickstart's shape
@@ -62,7 +66,7 @@ func TestEngineStatsQuickstart(t *testing.T) {
 // completion sweep ahead of the only process's wake-up: nearly every
 // wake-up is taken in place by a hosted park.
 func TestEngineStatsSharedIOR(t *testing.T) {
-	checkEngineStats(t, cluster.PVFSShared, sim.Stats{Callbacks: 41126, Dispatches: 17, Elided: 41112})
+	checkEngineStats(t, cluster.PVFSShared, sim.Stats{Callbacks: 41126, Dispatches: 17, Elided: 41112, Spawns: 3})
 }
 
 // TestFlowStatsSharedIOR pins the flow allocator's work counters on the
@@ -86,5 +90,48 @@ func TestFlowStatsSharedIOR(t *testing.T) {
 	want := flow.Stats{Starts: 20566, Flushes: 20562, Fills: 276, Collected: 454, Retired: 20566, Rebuilds: 1, Uncontended: 20418}
 	if got := ss.tb.Cl.Net.Stats(); got != want {
 		t.Errorf("flow stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestSpawnsIdleFleet pins the processes an idle preseeded fleet spawns,
+// on fleet-1k's shape at a few node pairs: per VM, the boot read, the
+// migration (middleware) and its push and pull, and nothing else. A
+// preseeded replica holds every base chunk, so boot reads dirty no cache
+// page and the destination is owed no hinted chunk: neither a cache
+// writeback worker nor a base prefetcher has anything to do, and neither
+// is spawned.
+func TestSpawnsIdleFleet(t *testing.T) {
+	for _, pairs := range []int{1, 3} {
+		nodes := 2 * pairs
+		set := NewSetup(ScalePaper, nodes)
+		set.Cluster.Testbed.FabricBandwidth = 2 * float64(nodes) * set.Cluster.Testbed.NICBandwidth
+		s := New(WithConfig(set.Cluster), WithPreseededImages())
+		warmup := set.Cluster.Experiment.WarmupDelay
+		for p := 0; p < pairs; p++ {
+			for v := 0; v < 2; v++ {
+				name := fmt.Sprintf("vm%d-%d", p, v)
+				s.AddVM(VMSpec{Name: name, Node: 2 * p, Approach: cluster.OurApproach})
+				s.MigrateAt(name, 2*p+1, warmup+float64(p)+float64(v))
+			}
+		}
+		cfg, st, byName, err := s.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss := s.build(cfg, st, byName)
+		if err := ss.tb.Eng.Drain(s.opt.horizon); err != nil {
+			t.Fatal(err)
+		}
+		ss.tb.Eng.Shutdown()
+		res := s.collect(ss.tb, ss.insts, ss.runners, ss.cm1, ss.campaigns)
+		for _, vm := range res.VMs {
+			if !vm.Migrated || !vm.Core.Complete {
+				t.Fatalf("%d pairs: %s migrated %v, complete %v; want both", pairs, vm.Name, vm.Migrated, vm.Core.Complete)
+			}
+		}
+		const perVM = 4 // boot, middleware, push, pull
+		if got, want := ss.tb.Eng.Stats().Spawns, uint64(perVM*2*pairs); got != want {
+			t.Errorf("%d pairs: %d spawns, want %d (%d per VM)", pairs, got, want, perVM)
+		}
 	}
 }

@@ -32,12 +32,15 @@ func quickSpec() *Spec {
 }
 
 // longSpec is a serial campaign that keeps a worker busy long enough to
-// cancel or break mid-flight.
+// cancel or break mid-flight. The campaign completes near t = 28,690 s,
+// tenths of a second of wall time; the horizon leaves room for that, so
+// the run does not end as a horizon failure within milliseconds
+// (TestLongSpecCompletes).
 func longSpec() *Spec {
 	rw := params.DefaultRewrite()
 	rw.Iterations = 4096
 	rw.Interval = 0.1
-	sp := &Spec{Nodes: 8, HorizonS: 600}
+	sp := &Spec{Nodes: 8, HorizonS: 29000}
 	var steps []StepSpec
 	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
 		sp.VMs = append(sp.VMs, VMSpec{
@@ -48,6 +51,25 @@ func longSpec() *Spec {
 	}
 	sp.Campaigns = []CampaignSpec{{AtS: 1, Policy: "serial", Steps: steps}}
 	return sp
+}
+
+// TestLongSpecCompletes runs longSpec through the library: it must end
+// with every VM migrated and no error, well inside its horizon.
+func TestLongSpecCompletes(t *testing.T) {
+	sc, err := longSpec().ToScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatalf("longSpec run: %v", err)
+	}
+	for _, vm := range res.VMs {
+		if !vm.Migrated {
+			t.Errorf("%s did not migrate", vm.Name)
+		}
+	}
+	t.Logf("drained at t = %.0f s", res.Clock)
 }
 
 func startServer(t *testing.T, cfg Config) *Server {

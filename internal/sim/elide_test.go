@@ -47,10 +47,10 @@ func TestSleepElidesOwnWake(t *testing.T) {
 	ref, refNow, refSeq := run(func(e *Engine) error { return stepUntil(e, math.Inf(1)) })
 	// The spawn dispatch and the wake behind the timer at 0.25 take the
 	// round trip; the other nine wakes are elided.
-	if want := (Stats{Callbacks: 1, Dispatches: 2, Elided: 9}); got != want {
+	if want := (Stats{Callbacks: 1, Dispatches: 2, Elided: 9, Spawns: 1}); got != want {
 		t.Errorf("Run stats = %+v, want %+v", got, want)
 	}
-	if want := (Stats{Callbacks: 1, Dispatches: 11}); ref != want {
+	if want := (Stats{Callbacks: 1, Dispatches: 11, Spawns: 1}); ref != want {
 		t.Errorf("Step stats = %+v, want %+v", ref, want)
 	}
 	if gotNow != 5 || refNow != 5 {

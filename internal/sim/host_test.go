@@ -243,7 +243,7 @@ func TestHostFlag(t *testing.T) {
 	if want := []bool{true, false, true, true}; !slices.Equal(flags, want) {
 		t.Fatalf("host flag after each wake-up = %v, want %v", flags, want)
 	}
-	if s := e.Stats(); s != (Stats{Callbacks: 5, Dispatches: 8, Elided: 0}) {
+	if s := e.Stats(); s != (Stats{Callbacks: 5, Dispatches: 8, Elided: 0, Spawns: 2}) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Step grants nothing, though the same waiter is resumed with only

@@ -168,6 +168,7 @@ type Stats struct {
 	Callbacks  uint64 // callback events fired
 	Dispatches uint64 // process resumes: coroutine round trips
 	Elided     uint64 // wake-ups taken in place, without a round trip
+	Spawns     uint64 // processes started by Go
 }
 
 // Stats returns the engine's work counters.
@@ -487,6 +488,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	e.live++
+	e.stats.Spawns++
 	e.order = append(e.order, p)
 	e.scheduleProc(e.now, p)
 	return p
